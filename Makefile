@@ -74,7 +74,7 @@ golden:
 # Regenerate the golden traces after an intentional behavior change; review
 # the diff like any other scheduling change.
 golden-update:
-	$(GO) test -run Golden -update ./internal/simulator/ ./internal/cluster/
+	$(GO) test -run Golden ./internal/simulator/ ./internal/cluster/ -update
 
 # Allocation-regression tripwire: every benchmark in the committed
 # baseline must stay within 2x of its recorded allocs/op and B/op.
@@ -150,12 +150,14 @@ lint:
 	$(GO) run honnef.co/go/tools/cmd/staticcheck@$(STATICCHECK_VERSION) ./...
 
 # Quick throughput/allocation smoke: one full trial per heuristic class
-# (single-fleet and sharded) and the convolution-core allocation guards.
-# The cluster trials run several iterations so the reported numbers are
-# warm steady state, not first-run cache warm-up.
+# (single-fleet and sharded), one PAM mapping event (all-deferred and
+# mixed), and the convolution-core allocation guards. The cluster trials
+# run several iterations so the reported numbers are warm steady state,
+# not first-run cache warm-up.
 bench-smoke:
 	$(GO) test -run xxx -bench SingleTrial -benchtime 1x -benchmem .
 	$(GO) test -run xxx -bench ClusterTrial -benchtime 5x -benchmem .
+	$(GO) test -run xxx -bench PAMMapEvent -benchtime 200x -benchmem ./internal/heuristics/
 	$(GO) test -run xxx -bench Convolve -benchtime 100x -benchmem ./internal/pmf/
 
 # Full benchmark sweep, recorded as BENCH_<date>.json so the performance

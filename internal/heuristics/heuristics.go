@@ -12,6 +12,7 @@ package heuristics
 
 import (
 	"fmt"
+	"math"
 
 	"taskprune/internal/machine"
 	"taskprune/internal/pet"
@@ -42,12 +43,14 @@ type Context struct {
 	// events so its storage is reused instead of reallocated. A nil Cache
 	// makes Map build a private one (tests, direct library use).
 	Cache *EvalCache
-	// NaiveEval disables the evaluation cache and the cross-event tail
-	// memo: every machine tail is rebuilt from its queue at every event and
-	// every phase-one scalar is recomputed on every commit round. Results
-	// are identical by construction (the equivalence tests assert it); the
-	// only difference is O(rounds × tasks × machines) work instead of
-	// O(tasks × machines + rounds × tasks). Used by tests and ablations.
+	// NaiveEval disables the evaluation cache, the cross-event tail memo,
+	// and PAM's phase-one success bound: every machine tail is rebuilt from
+	// its queue at every event and every phase-one scalar is recomputed for
+	// every free (task, machine) pair on every commit round. Results are
+	// identical by construction (the equivalence tests assert it); the only
+	// difference is O(rounds × tasks × machines) work instead of
+	// O(tasks × machines + rounds × tasks), minus the pairs the bound
+	// skips. Used by tests and ablations as the exhaustive oracle.
 	NaiveEval bool
 }
 
@@ -529,18 +532,42 @@ func (s *probState) evaluate(ctx *Context, t *task.Task, mi int) fastEval {
 	return r
 }
 
+// tieEps is the success-probability band within which phase one counts
+// two machines as tied and prefers the earlier expected machine-free time.
+const tieEps = 1e-9
+
+// successBound is an O(1) upper bound on DropEval's success for a task with
+// execution profile exec queued behind tail. Success is
+// Σ_s tail(s)·CDF_exec(δ−s) over starts s ≥ tail.Start(), and the CDF is
+// monotone, so it never exceeds CDF_exec(δ − tail.Start()). An empty tail
+// has success 0.
+func successBound(tail *pmf.PMF, exec *pmf.Profile, deadline int64) float64 {
+	if tail.IsZero() {
+		return 0
+	}
+	return exec.CDF(deadline - tail.Start())
+}
+
 // bestByRobustness returns the free-slot machine maximizing the task's
 // success probability, together with the evaluation; ok is false when no
 // machine has room. Ties (common once robustness saturates at 1.0 on
 // several machines) break toward the earliest expected completion —
 // without this, every saturated task would pile onto the lowest-indexed
 // machine.
-func (s *probState) bestByRobustness(ctx *Context, t *task.Task) (mi int, ev fastEval, ok bool) {
-	const tieEps = 1e-9
-	best := -1
+//
+// Machines whose successBound lies below floor are skipped without an
+// evaluation or a cache lookup; mi is −1 (with ok true) when every free
+// machine was skipped. Pass math.Inf(-1) to scan exhaustively.
+func (s *probState) bestByRobustness(ctx *Context, t *task.Task, floor float64) (mi int, ev fastEval, ok bool) {
+	bounded := floor > math.Inf(-1)
+	best, free := -1, false
 	var bestEv fastEval
 	for i, m := range ctx.Machines {
 		if m.FreeSlots() <= 0 {
+			continue
+		}
+		free = true
+		if bounded && successBound(s.tails[i], ctx.TaskExecProfile(t, i), t.Deadline) < floor {
 			continue
 		}
 		r := s.evaluate(ctx, t, i)
@@ -551,7 +578,7 @@ func (s *probState) bestByRobustness(ctx *Context, t *task.Task) (mi int, ev fas
 			best, bestEv = i, r
 		}
 	}
-	if best == -1 {
+	if !free {
 		return 0, fastEval{}, false
 	}
 	return best, bestEv, true

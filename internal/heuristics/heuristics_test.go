@@ -1,6 +1,7 @@
 package heuristics
 
 import (
+	"math"
 	"testing"
 
 	"taskprune/internal/machine"
@@ -224,6 +225,28 @@ func TestPAMDefersLowRobustnessTasks(t *testing.T) {
 	}
 }
 
+// TestPAMSkipsHopelessPairs: a task whose success bound lies below the
+// defer threshold on every machine is deferred, with the usual deferral
+// bookkeeping, without one evaluation or cache row; NaiveEval evaluates
+// every pair and defers it too.
+func TestPAMSkipsHopelessPairs(t *testing.T) {
+	matrix := testPET(t)
+	for _, naive := range []bool{false, true} {
+		ctx := pamContext(t, matrix, 6)
+		ctx.Cache = NewEvalCache()
+		ctx.NaiveEval = naive
+		hopeless := mkTask(0, 0, 0, 2) // deadline 2 with ~10-tick exec
+		res := PAM{}.Map(ctx, []*task.Task{hopeless})
+		if len(res.Assigned) != 0 || len(res.Deferred) != 1 || hopeless.Defers != 1 {
+			t.Fatalf("naive=%v: assigned/deferred = %d/%d, Defers = %d, want 0/1/1",
+				naive, len(res.Assigned), len(res.Deferred), hopeless.Defers)
+		}
+		if _, row := ctx.Cache.evals[hopeless.ID]; !naive && (row || ctx.Cache.Misses() != 0) {
+			t.Errorf("bounded phase one evaluated a hopeless pair (row %v, %d misses)", row, ctx.Cache.Misses())
+		}
+	}
+}
+
 // TestPAMMapsGoodTasks: with generous deadlines everything maps, to the
 // affine machines.
 func TestPAMMapsGoodTasks(t *testing.T) {
@@ -380,7 +403,7 @@ func TestRobustnessTieBreak(t *testing.T) {
 	}
 	st := newProbState(ctx)
 	tk := mkTask(0, 0, 0, 100000)
-	mi, ev, ok := st.bestByRobustness(ctx, tk)
+	mi, ev, ok := st.bestByRobustness(ctx, tk, math.Inf(-1))
 	if !ok {
 		t.Fatal("no machine")
 	}
@@ -395,7 +418,7 @@ func TestRobustnessTieBreak(t *testing.T) {
 		}
 	}
 	st2 := newProbState(ctx)
-	mi2, _, _ := st2.bestByRobustness(ctx, mkTask(1, 0, 0, 100000))
+	mi2, _, _ := st2.bestByRobustness(ctx, mkTask(1, 0, 0, 100000), math.Inf(-1))
 	if mi == mi2 {
 		t.Errorf("tie-break ignored queue depth: picked machine %d both times", mi)
 	}

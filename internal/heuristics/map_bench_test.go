@@ -1,0 +1,121 @@
+package heuristics
+
+import (
+	"testing"
+
+	"taskprune/internal/machine"
+	"taskprune/internal/pet"
+	"taskprune/internal/pmf"
+	"taskprune/internal/pruner"
+	"taskprune/internal/stats"
+	"taskprune/internal/task"
+)
+
+// mapEvent is one PAM mapping event on the pam-34k shape: eight SPEC
+// machines with a six-slot queue holding four tasks each (one executing)
+// and a 38-task batch, that workload's mean batch size.
+type mapEvent struct {
+	ctx    *Context
+	queued [][]*task.Task // per machine, head first
+	batch  []*task.Task
+}
+
+const (
+	mapEventNow      = 10_000
+	mapEventQueued   = 4
+	mapEventBatch    = 38
+	mapEventQueueCap = 6
+)
+
+// newMapEvent builds the event. Batch deadlines leave slack drawn uniformly
+// from [lo, hi)·grandMean ticks after the clock; queued tasks get generous
+// deadlines so the tails carry the full queue.
+func newMapEvent(matrix *pet.Matrix, lo, hi float64) *mapEvent {
+	rng := stats.NewRNG(34)
+	grand := matrix.GrandMean()
+	ev := &mapEvent{ctx: &Context{
+		Now:         mapEventNow,
+		Machines:    make([]*machine.Machine, matrix.NumMachines()),
+		PET:         matrix,
+		Mode:        pmf.Evict,
+		MaxImpulses: pmf.DefaultMaxImpulses,
+		Pruner:      pruner.New(pruner.DefaultConfig()),
+		Arena:       pmf.NewArena(),
+		Cache:       NewEvalCache(),
+	}}
+	id := 0
+	for mi := range ev.ctx.Machines {
+		ev.ctx.Machines[mi] = machine.New(mi, "m", mapEventQueueCap, 0)
+		q := make([]*task.Task, mapEventQueued)
+		for k := range q {
+			q[k] = task.New(id, task.Type(rng.Intn(matrix.NumTypes())), 0, mapEventNow+int64(8*grand))
+			id++
+		}
+		ev.queued = append(ev.queued, q)
+	}
+	for range mapEventBatch {
+		slack := int64(grand * rng.UniformRange(lo, hi))
+		ev.batch = append(ev.batch, task.New(id, task.Type(rng.Intn(matrix.NumTypes())), 0, mapEventNow+slack))
+		id++
+	}
+	ev.reset()
+	return ev
+}
+
+// reset restores the event's state: every machine re-queues its tasks, the
+// head started a little before the clock, and the batch is unmapped again.
+// Machine.Reset bumps each queue version, so every cached evaluation of the
+// previous run is stale; the tails are rebuilt into the cross-event memo
+// here, leaving the timed Map with warm tails and cold evaluations.
+func (ev *mapEvent) reset() {
+	for mi, m := range ev.ctx.Machines {
+		m.Reset()
+		for _, t := range ev.queued[mi] {
+			if err := m.Enqueue(t); err != nil {
+				panic(err)
+			}
+		}
+		m.StartNext(mapEventNow - 20)
+	}
+	for _, t := range ev.batch {
+		t.State, t.Machine, t.Defers = task.StatePending, -1, 0
+	}
+	ev.ctx.Arena.Reset()
+	newProbState(ev.ctx)
+	ev.ctx.Arena.Reset()
+}
+
+// run times Map on freshly reset state. One untimed event first grows the
+// cache and arena to their steady-state sizes.
+func (ev *mapEvent) run(b *testing.B, check func(Result) bool) {
+	b.ReportAllocs()
+	(PAM{}).Map(ev.ctx, ev.batch)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		ev.reset()
+		b.StartTimer()
+		if res := (PAM{}).Map(ev.ctx, ev.batch); !check(res) {
+			b.Fatalf("unexpected mapping: %d assigned, %d deferred", len(res.Assigned), len(res.Deferred))
+		}
+	}
+}
+
+// BenchmarkPAMMapEvent times one PAM mapping event whose machine tails are
+// memoized but whose phase-one evaluations are all stale, so every pair the
+// bound keeps is evaluated afresh. all-deferred is the event that assigns
+// nothing, as about two thirds of pam-34k's events do; mixed maps some of
+// the batch and defers the rest.
+func BenchmarkPAMMapEvent(b *testing.B) {
+	matrix := pet.MustBuild(pet.SPECLikeMeans(), pet.DefaultBuildConfig(), stats.NewRNG(0x5EC))
+	b.Run("all-deferred", func(b *testing.B) {
+		newMapEvent(matrix, 0.5, 3).run(b, func(r Result) bool {
+			return len(r.Assigned) == 0 && len(r.Deferred) == mapEventBatch
+		})
+	})
+	b.Run("mixed", func(b *testing.B) {
+		newMapEvent(matrix, 0.5, 8).run(b, func(r Result) bool {
+			return len(r.Assigned) > 0 && len(r.Deferred) > 0
+		})
+	})
+}

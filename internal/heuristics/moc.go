@@ -1,6 +1,7 @@
 package heuristics
 
 import (
+	"math"
 	"sort"
 
 	"taskprune/internal/pmf"
@@ -52,7 +53,7 @@ func (h MOC) Map(ctx *Context, batch []*task.Task) Result {
 		// Phase 1: best machine per task by robustness.
 		pairs := st.cache.mpairs[:0]
 		for i, t := range remaining {
-			mi, ev, ok := st.bestByRobustness(ctx, t)
+			mi, ev, ok := st.bestByRobustness(ctx, t, math.Inf(-1))
 			if !ok {
 				break
 			}

@@ -1,6 +1,8 @@
 package heuristics
 
 import (
+	"math"
+
 	"taskprune/internal/task"
 )
 
@@ -56,6 +58,33 @@ type pamPair struct {
 // evaluations pick the same winner.
 const expFreeTieEps = 1e-9
 
+// deferFloor is the success bound below which phase one skips a machine
+// for task t: the task's defer threshold minus a margin of
+// (machines+2)·tieEps + 1e-12. Without a pruner nothing is deferred, and
+// NaiveEval is the exhaustive oracle, so both scan every machine.
+//
+// The margin makes skipping invisible. A skipped machine's success lies
+// below the floor (1e-12 absorbs the bound's rounding). bestByRobustness
+// moves its running best either by a strict win, to a machine more than
+// tieEps better, or by an ε-tie, to a machine within tieEps; an ε-tie
+// raises the running best by at most tieEps. The exhaustive and the
+// bounded scan first part where the exhaustive one adopts a skipped
+// machine, which needs a running best below floor + tieEps. Until both
+// adopt the same machine again, every further machine raises the higher of
+// their two running bests by at most tieEps, so over the n machines of the
+// fleet both stay below floor + n·tieEps: more than 2·tieEps under the
+// threshold, and both defer. An ε-tie chain that starts at a skipped
+// machine therefore cannot reach a machine that passes the threshold, and
+// whenever the exhaustive scan clears it, the bounded scan ends on the same
+// machine with the same evaluation.
+func deferFloor(ctx *Context, t *task.Task) float64 {
+	if ctx.Pruner == nil || ctx.NaiveEval {
+		return math.Inf(-1)
+	}
+	boundMargin := float64(len(ctx.Machines)+2)*tieEps + 1e-12
+	return ctx.Pruner.DeferThresholdFor(ctx.sufferage(t.Type)) - boundMargin
+}
+
 // pruningMap is the shared PAM/PAMF mapping loop.
 func pruningMap(ctx *Context, batch []*task.Task) Result {
 	st := newProbState(ctx)
@@ -69,15 +98,18 @@ func pruningMap(ctx *Context, batch []*task.Task) Result {
 	for totalFreeSlots(ctx.Machines) > 0 && len(remaining) > 0 {
 		// Phase 1: best machine by robustness; defer sub-threshold tasks.
 		// Deferral is decided first so that pair indices refer to the
-		// post-deferral (kept) task list.
+		// post-deferral (kept) task list. Machines that cannot reach a
+		// task's defer threshold are skipped (deferFloor); a task whose
+		// every free machine is skipped comes back with mi = −1 and is
+		// deferred.
 		kept := remaining[:0]
 		for _, t := range remaining {
-			_, ev, ok := st.bestByRobustness(ctx, t)
+			mi, ev, ok := st.bestByRobustness(ctx, t, deferFloor(ctx, t))
 			if !ok {
 				kept = append(kept, t) // no free slot anywhere; keep as-is
 				continue
 			}
-			if ctx.Pruner != nil && ctx.Pruner.ShouldDefer(ev.success, ctx.sufferage(t.Type)) {
+			if ctx.Pruner != nil && (mi < 0 || ctx.Pruner.ShouldDefer(ev.success, ctx.sufferage(t.Type))) {
 				if !deferred[t.ID] {
 					deferred[t.ID] = true
 					out.Deferred = append(out.Deferred, t)
@@ -90,7 +122,7 @@ func pruningMap(ctx *Context, batch []*task.Task) Result {
 		remaining = kept
 		pairs := st.cache.pairs[:0]
 		for i, t := range remaining {
-			mi, ev, ok := st.bestByRobustness(ctx, t)
+			mi, ev, ok := st.bestByRobustness(ctx, t, deferFloor(ctx, t))
 			if !ok {
 				break
 			}

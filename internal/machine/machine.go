@@ -226,80 +226,15 @@ func (m *Machine) Cost(now int64, ticksPerHour float64) float64 {
 	return float64(m.BusyTicks(now)) / ticksPerHour * m.Price
 }
 
-// QueueView is a snapshot of one queued (or executing) task's probabilistic
-// state, produced by AnalyzeQueue for the pruner.
-type QueueView struct {
-	Task       *task.Task
-	Position   int      // 0 = executing (or queue head when idle)
-	Completion *pmf.PMF // this task's machine-free-time PMF
-	Robustness float64  // P(success) under the configured drop mode
-	Skewness   float64  // bounded skewness of the completion PMF
-}
-
-// AnalyzeQueue chains completion-time PMFs through the executing task and
-// every pending task (paper Section IV), returning one QueueView per task
-// in queue order. The executing task's remaining time is its PET
-// conditioned on having already run for (now - Start) ticks. maxImpulses
-// bounds intermediate PMF width (0 disables compaction).
-func (m *Machine) AnalyzeQueue(now int64, matrix pet.View, mode pmf.DropMode, maxImpulses int) []QueueView {
-	var views []QueueView
-	prev := pmf.Impulse(now)
-	pos := 0
-	if m.executing != nil {
-		t := m.executing
-		// The run began at t.Start with t.Consumed ticks already banked
-		// from earlier (preempted) runs: completion = start - consumed +
-		// total duration, conditioned on not having finished yet. The
-		// profile (and the consumed credit) is stretched by the factor the
-		// run started under.
-		comp := matrix.ScaledPMF(t.Type, m.ID, m.runFactor).
-			Shift(t.Start - pmf.ScaleDur(t.Consumed, m.runFactor)).ConditionAtLeast(now)
-		// The executing task is beyond the "pending" convolution regime:
-		// its success is simply the probability its remaining time beats
-		// the deadline; under Evict it frees the machine at the deadline.
-		rob := comp.SuccessProb(t.Deadline)
-		free := comp
-		if mode == pmf.Evict {
-			free = comp.Clone()
-			late := free.TruncateAfter(t.Deadline)
-			if late > 0 {
-				free.AddMass(t.Deadline, late)
-			}
-		}
-		free = pmf.Compact(free, maxImpulses)
-		views = append(views, QueueView{
-			Task: t, Position: pos, Completion: free,
-			Robustness: rob, Skewness: comp.BoundedSkewness(),
-		})
-		prev = free
-		pos++
-	}
-	for _, t := range m.pending {
-		exec := matrix.RemainingEntry(t.Type, m.ID, m.speed, t.Consumed).PMF
-		res := pmf.ConvolveDrop(prev, exec, t.Deadline, mode)
-		free := pmf.Compact(res.Free, maxImpulses)
-		views = append(views, QueueView{
-			Task: t, Position: pos, Completion: free,
-			Robustness: res.Success, Skewness: res.Free.BoundedSkewness(),
-		})
-		prev = free
-		pos++
-	}
-	return views
-}
-
-// FreeTimePMF returns the PMF of the tick at which the machine finishes
-// everything currently assigned to it (the tail PCT robustness-based
-// mappers convolve candidate tasks against). For an empty machine it is an
-// impulse at now.
-func (m *Machine) FreeTimePMF(now int64, matrix pet.View, mode pmf.DropMode, maxImpulses int) *pmf.PMF {
-	return m.TailPMF(nil, now, matrix, mode, maxImpulses)
-}
-
-// TailPMF is FreeTimePMF with every intermediate distribution allocated in
-// the arena (nil falls back to the heap): it walks the same completion
-// chain as AnalyzeQueue without materializing per-task views, which is all
-// a mapping event needs. The result is valid until the arena's next Reset.
+// TailPMF returns the PMF of the tick at which the machine finishes
+// everything currently assigned to it — the tail PCT robustness-based
+// mappers convolve candidate tasks against; an impulse at now for an empty
+// machine. It chains completion-time PMFs through the executing task
+// (paper Section IV: its PET conditioned on having already run for
+// now − Start ticks) and every pending task, bounding each intermediate
+// to maxImpulses impulses (0 disables compaction). Every intermediate
+// distribution is allocated in the arena (nil falls back to the heap); the
+// result is valid until the arena's next Reset.
 func (m *Machine) TailPMF(a *pmf.Arena, now int64, matrix pet.View, mode pmf.DropMode, maxImpulses int) *pmf.PMF {
 	prev := a.Impulse(now)
 	if m.executing != nil {

@@ -159,43 +159,32 @@ func TestRemovePending(t *testing.T) {
 	}
 }
 
-func TestAnalyzeQueueChains(t *testing.T) {
+// TestTailPMFChains: each task queued behind the executing one pushes the
+// machine's free time later in expectation, and every tail stays a
+// normalized distribution.
+func TestTailPMFChains(t *testing.T) {
 	matrix := tinyPET(t)
 	m := New(0, "m0", 6, 0)
 	// Generous deadlines so nothing is hopeless.
-	a := mkTask(0, 0, 100)
-	b := mkTask(1, 1, 200)
-	c := mkTask(2, 0, 300)
-	m.Enqueue(a)
-	m.Enqueue(b)
-	m.Enqueue(c)
-	m.StartNext(0)
-
-	views := m.AnalyzeQueue(0, matrix, pmf.PendingDrop, 32)
-	if len(views) != 3 {
-		t.Fatalf("views = %d, want 3", len(views))
-	}
-	for i, v := range views {
-		if v.Position != i {
-			t.Errorf("view %d position = %d", i, v.Position)
+	tasks := []*task.Task{mkTask(0, 0, 100), mkTask(1, 1, 200), mkTask(2, 0, 300)}
+	last := -1.0
+	for i, tk := range tasks {
+		m.Enqueue(tk)
+		if i == 0 {
+			m.StartNext(0)
 		}
-		if v.Robustness < 0 || v.Robustness > 1 {
-			t.Errorf("view %d robustness = %v", i, v.Robustness)
+		tail := m.TailPMF(nil, 0, matrix, pmf.PendingDrop, 32)
+		if math.Abs(tail.Mass()-1) > 1e-6 {
+			t.Errorf("tail after %d tasks has mass %v", i+1, tail.Mass())
 		}
-		if math.Abs(v.Completion.Mass()-1) > 1e-6 {
-			t.Errorf("view %d completion mass = %v", i, v.Completion.Mass())
+		if tail.Mean() <= last {
+			t.Errorf("tail mean after %d tasks = %v, not past %v", i+1, tail.Mean(), last)
 		}
-	}
-	// With generous deadlines, each later queue position completes later in
-	// expectation.
-	if !(views[0].Completion.Mean() < views[1].Completion.Mean()) ||
-		!(views[1].Completion.Mean() < views[2].Completion.Mean()) {
-		t.Errorf("completion means not increasing down the queue: %v %v %v",
-			views[0].Completion.Mean(), views[1].Completion.Mean(), views[2].Completion.Mean())
+		last = tail.Mean()
 	}
 }
 
-func TestAnalyzeQueueExecutingConditioned(t *testing.T) {
+func TestTailPMFExecutingConditioned(t *testing.T) {
 	matrix := tinyPET(t)
 	m := New(0, "m0", 6, 0)
 	a := mkTask(0, 0, 100)
@@ -203,28 +192,27 @@ func TestAnalyzeQueueExecutingConditioned(t *testing.T) {
 	m.StartNext(0)
 	// After running 15 ticks (longer than the ~10-tick mean), the remaining
 	// completion time must be conditioned at now.
-	views := m.AnalyzeQueue(15, matrix, pmf.PendingDrop, 32)
-	if views[0].Completion.Start() < 15 {
-		t.Errorf("conditioned completion starts at %d, want >= 15", views[0].Completion.Start())
+	if tail := m.TailPMF(nil, 15, matrix, pmf.PendingDrop, 32); tail.Start() < 15 {
+		t.Errorf("conditioned completion starts at %d, want >= 15", tail.Start())
 	}
 }
 
-func TestFreeTimePMFIdle(t *testing.T) {
+func TestTailPMFIdle(t *testing.T) {
 	matrix := tinyPET(t)
 	m := New(0, "m0", 6, 0)
-	p := m.FreeTimePMF(42, matrix, pmf.PendingDrop, 32)
+	p := m.TailPMF(nil, 42, matrix, pmf.PendingDrop, 32)
 	if p.At(42) != 1 {
-		t.Errorf("idle FreeTimePMF = %v, want impulse at 42", p)
+		t.Errorf("idle TailPMF = %v, want impulse at 42", p)
 	}
 }
 
-func TestFreeTimePMFEvictBoundedByDeadline(t *testing.T) {
+func TestTailPMFEvictBoundedByDeadline(t *testing.T) {
 	matrix := tinyPET(t)
 	m := New(0, "m0", 6, 0)
 	a := mkTask(0, 0, 12) // tight deadline
 	m.Enqueue(a)
 	m.StartNext(0)
-	p := m.FreeTimePMF(0, matrix, pmf.Evict, 32)
+	p := m.TailPMF(nil, 0, matrix, pmf.Evict, 32)
 	if p.End() > 12 {
 		t.Errorf("evict free time extends to %d past deadline 12", p.End())
 	}

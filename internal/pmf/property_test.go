@@ -285,3 +285,44 @@ func TestPropProfileConsistency(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// Property: DropEval's success never exceeds CDF_exec(δ − prev.Start()),
+// the O(1) bound PAM's phase one skips machines on — every start lies at or
+// after prev.Start() and the CDF is monotone. Tails are queue chains like a
+// machine's, left dense or compacted to sparse form; profiles are fresh or
+// conditioned on banked progress like a restored task's.
+func TestPropDropEvalSuccessBound(t *testing.T) {
+	sparse := 0
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		dense := Impulse(int64(r.Intn(50)))
+		for k := 2 + r.Intn(4); k > 0; k-- {
+			dense = ConvolveDrop(dense, randomExecPMF(r, 24), dense.Start()+int64(r.Intn(150)), PendingDrop).Free
+		}
+		compacted := Compact(dense, 1+r.Intn(8))
+		if compacted.nz != nil {
+			sparse++
+		}
+		exec := randomExecPMF(r, 24)
+		consumed := 1 + r.Int63n(exec.End())
+		for _, prev := range []*PMF{dense, compacted} {
+			for _, prof := range []*Profile{NewProfile(exec), NewProfile(exec.RemainingAfter(consumed))} {
+				for d := prev.Start() - 2; d <= prev.End()+prof.PMF().End()+2; d++ {
+					bound := prof.CDF(d - prev.Start())
+					for _, mode := range []DropMode{NoDrop, PendingDrop, Evict} {
+						if s, _ := DropEval(prev, prof, d, mode); s > bound+1e-12 {
+							return false
+						}
+					}
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Error(err)
+	}
+	if sparse == 0 {
+		t.Error("no compacted tail took the sparse path")
+	}
+}

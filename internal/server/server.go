@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 
@@ -151,9 +152,12 @@ func (s *Server) Telemetry() *telemetry.Server { return s.tel }
 // pump is the engine-owning goroutine: it blocks on the submission
 // channel, admits each burst in arrival order, settles the engine between
 // bursts, and publishes a fresh status snapshot. It exits when the source
-// is closed and drained (graceful shutdown) or the engine errors.
+// is closed and drained (graceful shutdown), the engine errors, or
+// something under it panics — a panic is contained and reported, not a
+// process crash.
 func (s *Server) pump() {
 	defer close(s.done)
+	defer s.containPanic()
 	for {
 		t, ok := s.src.Next()
 		if !ok {
@@ -222,6 +226,22 @@ func (s *Server) fail(err error) {
 	s.runErr = err
 	s.mu.Unlock()
 	s.publish()
+}
+
+// containPanic recovers a panic on the pump goroutine and records it, with
+// the stack, as the run error. The engine may be mid-step and inconsistent,
+// so it is not read again: the error goes straight into the published
+// snapshot, /healthz turns 503, and submissions are refused.
+func (s *Server) containPanic() {
+	r := recover()
+	if r == nil {
+		return
+	}
+	err := fmt.Errorf("server: pump panic: %v\n%s", r, debug.Stack())
+	s.mu.Lock()
+	s.runErr = err
+	s.status.Error = err.Error()
+	s.mu.Unlock()
 }
 
 // publish refreshes the status snapshot from the engine. Pump-goroutine

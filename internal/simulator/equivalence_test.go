@@ -1,6 +1,7 @@
 package simulator
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -42,12 +43,39 @@ func runTraced(t *testing.T, cfg Config, matrix *pet.Matrix, seed int64) ([]trac
 	return rec.Events(), st
 }
 
+// assertNaiveEquivalent runs cfg twice per seed — as given and with
+// NaiveEval, the exhaustive oracle — and fails unless the decision traces
+// are byte-identical and the statistics equal.
+func assertNaiveEquivalent(t *testing.T, cfg Config, matrix *pet.Matrix, seeds int64) {
+	t.Helper()
+	cached := cfg
+	cached.NaiveEval = false
+	naive := cfg
+	naive.NaiveEval = true
+	for seed := int64(1); seed <= seeds; seed++ {
+		evC, stC := runTraced(t, cached, matrix, seed)
+		evN, stN := runTraced(t, naive, matrix, seed)
+		if !reflect.DeepEqual(evC, evN) {
+			for i := range evC {
+				if i >= len(evN) || evC[i] != evN[i] {
+					t.Fatalf("seed %d: traces diverge at event %d: cached %v, naive %v",
+						seed, i, evC[i], evN[i])
+				}
+			}
+			t.Fatalf("seed %d: cached trace has %d events, naive %d", seed, len(evC), len(evN))
+		}
+		if !reflect.DeepEqual(stC, stN) {
+			t.Fatalf("seed %d: stats diverge:\ncached: %+v\nnaive:  %+v", seed, stC, stN)
+		}
+	}
+}
+
 // TestCachedEvalEquivalence: the incremental evaluation cache (per-(task,
-// machine) slots keyed by tail stamps, plus the cross-event tail memo) must
-// be a pure optimization — the same workload and seed must yield a
-// byte-identical decision trace and identical robustness statistics with
-// the cache enabled and with NaiveEval recomputing everything, under all
-// three dropping scenarios.
+// machine) slots keyed by tail stamps, plus the cross-event tail memo) and
+// PAM's phase-one success bound must be pure optimizations — the same
+// workload and seed must yield a byte-identical decision trace and
+// identical robustness statistics with them enabled and with NaiveEval
+// recomputing everything, under all three dropping scenarios.
 func TestCachedEvalEquivalence(t *testing.T) {
 	matrix := simPET(t)
 	for _, name := range []string{"PAM", "PAMF"} {
@@ -56,28 +84,7 @@ func TestCachedEvalEquivalence(t *testing.T) {
 				cfg := MustConfigFor(name, matrix)
 				cfg.Mode = mode
 				cfg.EvictAtDeadline = mode == pmf.Evict
-
-				cached := cfg
-				cached.NaiveEval = false
-				naive := cfg
-				naive.NaiveEval = true
-
-				for seed := int64(1); seed <= 3; seed++ {
-					evC, stC := runTraced(t, cached, matrix, seed)
-					evN, stN := runTraced(t, naive, matrix, seed)
-					if !reflect.DeepEqual(evC, evN) {
-						for i := range evC {
-							if i >= len(evN) || evC[i] != evN[i] {
-								t.Fatalf("seed %d: traces diverge at event %d: cached %v, naive %v",
-									seed, i, evC[i], evN[i])
-							}
-						}
-						t.Fatalf("seed %d: cached trace has %d events, naive %d", seed, len(evC), len(evN))
-					}
-					if !reflect.DeepEqual(stC, stN) {
-						t.Fatalf("seed %d: stats diverge:\ncached: %+v\nnaive:  %+v", seed, stC, stN)
-					}
-				}
+				assertNaiveEquivalent(t, cfg, matrix, 3)
 			})
 		}
 	}
@@ -100,14 +107,10 @@ func TestCachedEvalEquivalenceMOC(t *testing.T) {
 	}
 }
 
-// TestCachedEvalEquivalenceUnderScenario is the churn counterpart: fleet
-// events invalidate evaluation-cache columns and tail memos mid-trial
-// (failure empties a queue, recovery revives a column, degradation swaps
-// every scaled profile on a machine), and the cached run must still retrace
-// the naive run byte for byte through all of it.
-func TestCachedEvalEquivalenceUnderScenario(t *testing.T) {
-	matrix := simPET(t)
-	scenarios := map[string]*scenario.Scenario{
+// churnScenarios are the fleet-event mixes the equivalence tests replay:
+// failures, recoveries, degradations, and a burst, alone and together.
+func churnScenarios() map[string]*scenario.Scenario {
+	return map[string]*scenario.Scenario{
 		"fail-requeue-recover": scenario.New("frr").
 			FailAt(300, 1, scenario.Requeue).
 			RecoverAt(600, 1),
@@ -126,34 +129,47 @@ func TestCachedEvalEquivalenceUnderScenario(t *testing.T) {
 			RecoverAt(650, 0).
 			BurstWindow(100, 500, 3),
 	}
+}
+
+// TestCachedEvalEquivalenceUnderScenario is the churn counterpart: fleet
+// events invalidate evaluation-cache columns and tail memos mid-trial
+// (failure empties a queue, recovery revives a column, degradation swaps
+// every scaled profile on a machine), and the cached run must still retrace
+// the naive run byte for byte through all of it.
+func TestCachedEvalEquivalenceUnderScenario(t *testing.T) {
+	matrix := simPET(t)
 	for _, name := range []string{"PAM", "PAMF", "MOC"} {
-		for scName, sc := range scenarios {
+		for scName, sc := range churnScenarios() {
 			t.Run(name+"/"+scName, func(t *testing.T) {
 				cfg := MustConfigFor(name, matrix)
 				cfg.Scenario = sc
-
-				cached := cfg
-				cached.NaiveEval = false
-				naive := cfg
-				naive.NaiveEval = true
-
-				for seed := int64(1); seed <= 2; seed++ {
-					evC, stC := runTraced(t, cached, matrix, seed)
-					evN, stN := runTraced(t, naive, matrix, seed)
-					if !reflect.DeepEqual(evC, evN) {
-						for i := range evC {
-							if i >= len(evN) || evC[i] != evN[i] {
-								t.Fatalf("seed %d: traces diverge at event %d: cached %v, naive %v",
-									seed, i, evC[i], evN[i])
-							}
-						}
-						t.Fatalf("seed %d: cached trace has %d events, naive %d", seed, len(evC), len(evN))
-					}
-					if !reflect.DeepEqual(stC, stN) {
-						t.Fatalf("seed %d: stats diverge:\ncached: %+v\nnaive:  %+v", seed, stC, stN)
-					}
-				}
+				assertNaiveEquivalent(t, cfg, matrix, 2)
 			})
+		}
+	}
+}
+
+// TestBoundedPhaseOneThresholdSweep: PAM's phase one skips the machines
+// whose success bound lies below the defer threshold minus a tie margin.
+// Across defer thresholds from lax to near-certain, on a static fleet and
+// under every churn scenario, the bound-pruned runs must retrace the
+// exhaustive NaiveEval runs byte for byte.
+func TestBoundedPhaseOneThresholdSweep(t *testing.T) {
+	matrix := simPET(t)
+	scenarios := churnScenarios()
+	scenarios["static"] = nil
+	for _, name := range []string{"PAM", "PAMF"} {
+		for _, th := range []float64{0.3, 0.6, 0.9, 0.99} {
+			for scName, sc := range scenarios {
+				t.Run(fmt.Sprintf("%s/defer=%v/%s", name, th, scName), func(t *testing.T) {
+					cfg := MustConfigFor(name, matrix)
+					pc := *cfg.Pruner
+					pc.DeferThreshold = th
+					cfg.Pruner = &pc
+					cfg.Scenario = sc
+					assertNaiveEquivalent(t, cfg, matrix, 2)
+				})
+			}
 		}
 	}
 }

@@ -50,7 +50,9 @@
 //     exactly one machine's stamp, so each commit round invalidates one
 //     column instead of the whole table, and a cross-event tail memo keeps
 //     stamps (and thus cached evaluations) alive while a machine's queue
-//     and conditioned head distribution are unchanged. SimConfig.NaiveEval
+//     and conditioned head distribution are unchanged. PAM and PAMF also
+//     skip, without evaluating, every machine whose O(1) success bound
+//     cannot reach the task's defer threshold. SimConfig.NaiveEval
 //     disables all of it; the equivalence tests assert the decision traces
 //     are byte-identical either way.
 //
