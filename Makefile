@@ -23,13 +23,18 @@ METRICS_COVER_FLOOR   ?= 95.0
 TELEMETRY_COVER_FLOOR ?= 88.0
 SERVER_COVER_FLOOR    ?= 84.0
 
-.PHONY: build vet test ci lint vulncheck bench bench-smoke bench-guard golden golden-update fuzz-smoke race-stream race-cluster race-telemetry race-serve cover check-tree serve-smoke docker-build
+.PHONY: build vet fmt-check test ci lint vulncheck bench bench-smoke bench-guard golden golden-update fuzz-smoke race-stream race-cluster race-telemetry race-serve cover check-tree serve-smoke docker-build
 
 build:
 	$(GO) build ./...
 
 vet:
 	$(GO) vet ./...
+
+# Formatting gate: fails, listing the files, when any Go file is not
+# gofmt-clean.
+fmt-check:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -39,7 +44,7 @@ test:
 # restating them, so this file is the single source of truth for what green
 # means. (The lint job is separate: it downloads staticcheck, so it is not
 # part of the offline ci target.)
-ci: check-tree vet build test cover golden race-stream race-telemetry race-serve fuzz-smoke bench-smoke bench-guard
+ci: check-tree fmt-check vet build test cover golden race-stream race-telemetry race-serve fuzz-smoke bench-smoke bench-guard
 
 # Per-package statement coverage, with hard floors on the gated packages:
 # the build fails if any of them drops below its floor. Other packages are
@@ -151,13 +156,15 @@ lint:
 
 # Quick throughput/allocation smoke: one full trial per heuristic class
 # (single-fleet and sharded), one PAM mapping event (all-deferred and
-# mixed), and the convolution-core allocation guards. The cluster trials
+# mixed) and one MM mapping event, one dispatch decision per routing
+# policy, and the convolution-core allocation guards. The cluster trials
 # run several iterations so the reported numbers are warm steady state,
 # not first-run cache warm-up.
 bench-smoke:
 	$(GO) test -run xxx -bench SingleTrial -benchtime 1x -benchmem .
 	$(GO) test -run xxx -bench ClusterTrial -benchtime 5x -benchmem .
-	$(GO) test -run xxx -bench PAMMapEvent -benchtime 200x -benchmem ./internal/heuristics/
+	$(GO) test -run xxx -bench MapEvent -benchtime 200x -benchmem ./internal/heuristics/
+	$(GO) test -run xxx -bench Pick -benchtime 2000x -benchmem ./internal/cluster/
 	$(GO) test -run xxx -bench Convolve -benchtime 100x -benchmem ./internal/pmf/
 
 # Full benchmark sweep, recorded as BENCH_<date>.json so the performance

@@ -86,9 +86,13 @@ func (LeastQueued) Pick(now int64, t *task.Task, dcs []*DC) int {
 // ExpectedReady (queue backlog under current degradation factors), and the
 // on-time probability is its scaled execution profile's CDF at the
 // remaining slack — the same pet.Matrix/PMF machinery the mapping
-// heuristics evaluate with, reduced to one O(1) prefix-sum lookup per
-// machine, so dispatch stays allocation-free. Ties break toward the
-// lighter queue, then the lower index.
+// heuristics evaluate with. Per machine that is one walk of the executing
+// task's sparse PET index, one stored profile mean per queued task and
+// one O(1) prefix-sum lookup: O(machines × (impulses + queue length)) per
+// arrival, with a dense scan of the executing task's PMF only where it has
+// no index (degraded machines, learned belief cells). Dispatch stays
+// allocation-free. Ties break toward the lighter queue, then the lower
+// index.
 type PETAware struct{}
 
 // Name implements Policy.

@@ -85,10 +85,9 @@ func (c *Context) ExecProfile(tt task.Type, mi int) *pmf.Profile {
 
 // ExecMean returns the profiled mean execution time of type tt on the
 // machine at fleet position mi under its current speed factor (PET column
-// = machine ID, as in ExecPMF).
+// = machine ID, as in ExecPMF): ExecProfile's stored mean, an O(1) read.
 func (c *Context) ExecMean(tt task.Type, mi int) float64 {
-	m := c.Machines[mi]
-	return c.PET.ScaledEstMean(tt, m.ID, m.Speed())
+	return c.ExecProfile(tt, mi).Mean()
 }
 
 // TaskExecPMF returns the execution-time PMF task t owes on the machine at

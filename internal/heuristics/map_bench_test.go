@@ -11,9 +11,9 @@ import (
 	"taskprune/internal/task"
 )
 
-// mapEvent is one PAM mapping event on the pam-34k shape: eight SPEC
-// machines with a six-slot queue holding four tasks each (one executing)
-// and a 38-task batch, that workload's mean batch size.
+// mapEvent is one mapping event on the pam-34k shape: eight SPEC machines
+// with a six-slot queue holding four tasks each (one executing) and a
+// 38-task batch, that workload's mean batch size.
 type mapEvent struct {
 	ctx    *Context
 	queued [][]*task.Task // per machine, head first
@@ -85,17 +85,17 @@ func (ev *mapEvent) reset() {
 	ev.ctx.Arena.Reset()
 }
 
-// run times Map on freshly reset state. One untimed event first grows the
-// cache and arena to their steady-state sizes.
-func (ev *mapEvent) run(b *testing.B, check func(Result) bool) {
+// run times h.Map on freshly reset state. One untimed event first grows
+// the cache and arena to their steady-state sizes.
+func (ev *mapEvent) run(b *testing.B, h Heuristic, check func(Result) bool) {
 	b.ReportAllocs()
-	(PAM{}).Map(ev.ctx, ev.batch)
+	h.Map(ev.ctx, ev.batch)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		ev.reset()
 		b.StartTimer()
-		if res := (PAM{}).Map(ev.ctx, ev.batch); !check(res) {
+		if res := h.Map(ev.ctx, ev.batch); !check(res) {
 			b.Fatalf("unexpected mapping: %d assigned, %d deferred", len(res.Assigned), len(res.Deferred))
 		}
 	}
@@ -109,13 +109,25 @@ func (ev *mapEvent) run(b *testing.B, check func(Result) bool) {
 func BenchmarkPAMMapEvent(b *testing.B) {
 	matrix := pet.MustBuild(pet.SPECLikeMeans(), pet.DefaultBuildConfig(), stats.NewRNG(0x5EC))
 	b.Run("all-deferred", func(b *testing.B) {
-		newMapEvent(matrix, 0.5, 3).run(b, func(r Result) bool {
+		newMapEvent(matrix, 0.5, 3).run(b, PAM{}, func(r Result) bool {
 			return len(r.Assigned) == 0 && len(r.Deferred) == mapEventBatch
 		})
 	})
 	b.Run("mixed", func(b *testing.B) {
-		newMapEvent(matrix, 0.5, 8).run(b, func(r Result) bool {
+		newMapEvent(matrix, 0.5, 8).run(b, PAM{}, func(r Result) bool {
 			return len(r.Assigned) > 0 && len(r.Deferred) > 0
 		})
+	})
+}
+
+// BenchmarkMMMapEvent times one MM mapping event on the same state: MM
+// prices every (task, machine) pair by expected completion time, the
+// machine's ExpectedReady plus the task's profiled mean, and fills all
+// sixteen free slots. It reads no tail and never defers.
+func BenchmarkMMMapEvent(b *testing.B) {
+	matrix := pet.MustBuild(pet.SPECLikeMeans(), pet.DefaultBuildConfig(), stats.NewRNG(0x5EC))
+	free := matrix.NumMachines() * (mapEventQueueCap - mapEventQueued)
+	newMapEvent(matrix, 0.5, 8).run(b, MM{}, func(r Result) bool {
+		return len(r.Assigned) == free && len(r.Deferred) == 0
 	})
 }

@@ -263,7 +263,11 @@ func (m *Machine) TailPMF(a *pmf.Arena, now int64, matrix pet.View, mode pmf.Dro
 // ExpectedReady returns the scalar expected tick at which the machine could
 // begin one more task: now + expected remaining execution + expected
 // pending executions. Scalar heuristics (MM, MSD, MMU) build their
-// expected completion times on top of this.
+// expected completion times on top of this. Each pending task costs one
+// stored profile mean, and the executing head one walk of its entry's
+// sparse index: O(impulses + queue length) for compacted PET entries. An
+// entry without an index (a degraded machine's ScaleTicks PMF, a learned
+// belief cell) falls back to a dense scan of the head.
 func (m *Machine) ExpectedReady(now int64, matrix pet.View) float64 {
 	ready := float64(now)
 	if m.executing != nil {
@@ -278,7 +282,7 @@ func (m *Machine) ExpectedReady(now int64, matrix pet.View) float64 {
 			// nominal entries whose Mean is the ground-truth gamma mean).
 			ready += matrix.RemainingEntry(t.Type, m.ID, m.speed, t.Consumed).Mean
 		} else {
-			ready += matrix.ScaledEstMean(t.Type, m.ID, m.speed)
+			ready += matrix.ScaledProfile(t.Type, m.ID, m.speed).Mean()
 		}
 	}
 	return ready

@@ -231,7 +231,7 @@ func TestExpectedReady(t *testing.T) {
 	ready := m.ExpectedReady(0, matrix)
 	// Expected: remaining of a (≈ mean 10) plus estimated mean of b on
 	// machine 0 (≈ 30).
-	want := matrix.PMF(0, 0).Mean() + matrix.EstMean(1, 0)
+	want := matrix.PMF(0, 0).Mean() + matrix.PMF(1, 0).Mean()
 	if math.Abs(ready-want) > 3 {
 		t.Errorf("ExpectedReady = %v, want ≈ %v", ready, want)
 	}

@@ -49,11 +49,6 @@ func (b *FrozenBelief) ScaledProfile(t task.Type, mi int, factor float64) *pmf.P
 	return b.truth.ScaledProfile(t, mi, 1)
 }
 
-// ScaledEstMean is ScaledEntry's profiled mean.
-func (b *FrozenBelief) ScaledEstMean(t task.Type, mi int, factor float64) float64 {
-	return b.truth.ScaledEstMean(t, mi, 1)
-}
-
 // RemainingEntry conditions the nominal entry on consumed nominal ticks.
 func (b *FrozenBelief) RemainingEntry(t task.Type, mi int, factor float64, consumed int64) *Entry {
 	return b.truth.RemainingEntry(t, mi, 1, consumed)
@@ -167,11 +162,6 @@ func (b *OnlineBelief) ScaledProfile(t task.Type, mi int, factor float64) *pmf.P
 	return b.ScaledEntry(t, mi, factor).Prof
 }
 
-// ScaledEstMean is ScaledEntry's profiled mean.
-func (b *OnlineBelief) ScaledEstMean(t task.Type, mi int, factor float64) float64 {
-	return b.ScaledEntry(t, mi, factor).PMF.Mean()
-}
-
 // RemainingEntry conditions the believed entry on consumed nominal ticks
 // of banked progress. For a learned cell the belief PMF is in wall ticks,
 // so the nominal progress is re-expressed through the reported factor
@@ -214,7 +204,7 @@ func (b *OnlineBelief) CellMean(t task.Type, mi int) (mean float64, learned bool
 	if e := b.cells[t][mi].entry; e != nil {
 		return e.Mean, true
 	}
-	return b.prior.ScaledEstMean(t, mi, 1), false
+	return b.prior.ScaledProfile(t, mi, 1).Mean(), false
 }
 
 var _ View = (*OnlineBelief)(nil)

@@ -24,7 +24,7 @@ func TestFrozenBeliefServesNominal(t *testing.T) {
 		if b.ScaledPMF(0, 1, f) != m.PMF(0, 1) {
 			t.Fatalf("factor %v: frozen PMF is not the nominal pointer", f)
 		}
-		if b.ScaledEstMean(0, 1, f) != m.EstMean(0, 1) {
+		if b.ScaledProfile(0, 1, f).Mean() != m.PMF(0, 1).Mean() {
 			t.Fatalf("factor %v: frozen mean differs from nominal", f)
 		}
 		if b.RemainingEntry(0, 1, f, 5) != m.RemainingEntry(0, 1, 1, 5) {
@@ -44,8 +44,8 @@ func TestOnlineBeliefColdServesPrior(t *testing.T) {
 	if b.RemainingEntry(0, 0, 2, 5) != m.RemainingEntry(0, 0, 1, 5) {
 		t.Fatal("cold cell must serve the prior's nominal conditioned entry")
 	}
-	if mean, learned := b.CellMean(0, 0); learned || mean != m.EstMean(0, 0) {
-		t.Fatalf("cold cell mean %v learned=%v, want prior %v unlearned", mean, learned, m.EstMean(0, 0))
+	if mean, learned := b.CellMean(0, 0); learned || mean != m.PMF(0, 0).Mean() {
+		t.Fatalf("cold cell mean %v learned=%v, want prior %v unlearned", mean, learned, m.PMF(0, 0).Mean())
 	}
 }
 

@@ -115,10 +115,6 @@ func (m *Matrix) PMF(t task.Type, mi int) *pmf.PMF { return m.entries[t][mi].PMF
 // Mean returns the ground-truth mean execution time of type t on machine mi.
 func (m *Matrix) Mean(t task.Type, mi int) float64 { return m.entries[t][mi].Mean }
 
-// EstMean returns the mean of the profiled PMF (what a scalar heuristic
-// like MinMin "believes" the execution time is).
-func (m *Matrix) EstMean(t task.Type, mi int) float64 { return m.entries[t][mi].PMF.Mean() }
-
 // Profile returns the prefix-sum execution profile of type t on machine mi.
 func (m *Matrix) Profile(t task.Type, mi int) *pmf.Profile { return m.entries[t][mi].Prof }
 

@@ -52,7 +52,7 @@ func TestProfiledMeanNearTruth(t *testing.T) {
 	for ti := 0; ti < m.NumTypes(); ti++ {
 		for mi := 0; mi < m.NumMachines(); mi++ {
 			truth := m.Mean(task.Type(ti), mi)
-			est := m.EstMean(task.Type(ti), mi)
+			est := m.Profile(task.Type(ti), mi).Mean()
 			// A few hundred gamma samples with shape as low as 1 (high
 			// variance): the histogram mean should land within ~25% of
 			// the ground truth.
@@ -63,15 +63,46 @@ func TestProfiledMeanNearTruth(t *testing.T) {
 	}
 }
 
+// TestProfileMatchesPMF pins the one spelling of a profiled mean: every
+// View serves, for every cell and speed factor, a profile over exactly the
+// PMF it serves, whose stored Mean is that PMF's Mean to the bit. The
+// scalar heuristics, PAM's ties and pet-aware dispatch read the stored
+// mean instead of rescanning the PMF, so any drift here would move their
+// decisions.
 func TestProfileMatchesPMF(t *testing.T) {
 	m := testMatrix(t)
-	p := m.PMF(0, 0)
-	prof := m.Profile(0, 0)
-	if prof.PMF() != p {
-		t.Error("Profile wraps a different PMF instance")
+	frozen := NewFrozenBelief(m)
+	cold := NewOnlineBelief(m, 10, 5, 16)
+	learned := NewOnlineBelief(m, 10, 5, 16)
+	rng := stats.NewRNG(3)
+	for ti := 0; ti < m.NumTypes(); ti += 2 {
+		for mi := ti % 3; mi < m.NumMachines(); mi += 3 {
+			for range 5 {
+				learned.Observe(task.Type(ti), mi, m.SampleExec(rng, task.Type(ti), mi))
+			}
+		}
 	}
-	if math.Abs(prof.Mean()-p.Mean()) > 1e-9 {
-		t.Errorf("profile mean %v != pmf mean %v", prof.Mean(), p.Mean())
+	if learned.Refreshes() == 0 {
+		t.Fatal("no learned cells: the online belief test would only see the prior")
+	}
+	for _, v := range []struct {
+		name string
+		view View
+	}{{"matrix", m}, {"frozen", frozen}, {"online-cold", cold}, {"online-learned", learned}} {
+		for ti := 0; ti < m.NumTypes(); ti++ {
+			for mi := 0; mi < m.NumMachines(); mi++ {
+				for _, f := range []float64{1, 1.5, 3} {
+					tt := task.Type(ti)
+					p, prof := v.view.ScaledPMF(tt, mi, f), v.view.ScaledProfile(tt, mi, f)
+					if prof.PMF() != p {
+						t.Fatalf("%s (%d,%d) factor %v: profile wraps a different PMF", v.name, ti, mi, f)
+					}
+					if got, want := prof.Mean(), p.Mean(); math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("%s (%d,%d) factor %v: profile mean %v != pmf mean %v", v.name, ti, mi, f, got, want)
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -56,7 +56,7 @@ func (m *Matrix) ScaledEntry(t task.Type, mi int, factor float64) *Entry {
 	// slowing a machine by f scales the gamma mean linearly and leaves its
 	// shape untouched. As with nominal entries, this ground truth differs
 	// from the profiled PMF's mean (here additionally by ScaleTicks' ceil
-	// rounding) — consumers of the estimate use PMF.Mean()/ScaledEstMean.
+	// rounding) — consumers of the estimate use Prof.Mean().
 	e = &Entry{PMF: p, Prof: pmf.NewProfile(p), Mean: base.Mean * factor, Shape: base.Shape}
 	if m.scaled.entries == nil {
 		m.scaled.entries = make(map[scaledKey]*Entry)
@@ -81,14 +81,4 @@ func (m *Matrix) ScaledProfile(t task.Type, mi int, factor float64) *pmf.Profile
 		return m.entries[t][mi].Prof
 	}
 	return m.ScaledEntry(t, mi, factor).Prof
-}
-
-// ScaledEstMean returns the profiled mean execution time of type t on
-// machine mi under the given speed factor (what a scalar heuristic believes
-// a degraded machine costs).
-func (m *Matrix) ScaledEstMean(t task.Type, mi int, factor float64) float64 {
-	if factor == 1 {
-		return m.entries[t][mi].PMF.Mean()
-	}
-	return m.ScaledEntry(t, mi, factor).PMF.Mean()
 }

@@ -27,7 +27,7 @@ func TestScaledFactorOneIsNominal(t *testing.T) {
 	if m.ScaledProfile(0, 1, 1) != m.Profile(0, 1) {
 		t.Error("factor 1 profile is not the nominal entry pointer")
 	}
-	if m.ScaledEstMean(0, 1, 1) != m.EstMean(0, 1) {
+	if m.ScaledProfile(0, 1, 1).Mean() != m.PMF(0, 1).Mean() {
 		t.Error("factor 1 mean differs from nominal")
 	}
 }
@@ -45,8 +45,8 @@ func TestScaledEntryCachedAndConsistent(t *testing.T) {
 	if math.Abs(a.PMF.Mass()-1) > 1e-9 {
 		t.Errorf("scaled PMF mass = %v, want 1", a.PMF.Mass())
 	}
-	nominal := m.EstMean(1, 0)
-	if got := m.ScaledEstMean(1, 0, 2.0); math.Abs(got-2*nominal) > 1 {
+	nominal := m.PMF(1, 0).Mean()
+	if got := m.ScaledProfile(1, 0, 2.0).Mean(); math.Abs(got-2*nominal) > 1 {
 		t.Errorf("scaled mean %v, want ≈ %v", got, 2*nominal)
 	}
 	if a.Mean != 2*m.Mean(1, 0) {

@@ -21,6 +21,11 @@ import (
 // ticks (task.Task.Consumed). How a belief interprets either — trusting
 // them, ignoring them, or substituting learned estimates — is the belief's
 // model of the world.
+//
+// Served entries are immutable, so the scalars schedulers read are
+// precomputed on the entry's Profile: the profiled mean is
+// ScaledProfile(…).Mean(), an O(1) read rather than a rescan of the dense
+// PMF.
 type View interface {
 	// NumTypes returns the number of task types.
 	NumTypes() int
@@ -31,11 +36,10 @@ type View interface {
 	ScaledEntry(t task.Type, mi int, factor float64) *Entry
 	// ScaledPMF is ScaledEntry's PMF.
 	ScaledPMF(t task.Type, mi int, factor float64) *pmf.PMF
-	// ScaledProfile is ScaledEntry's prefix-sum profile.
+	// ScaledProfile is ScaledEntry's prefix-sum profile. Its Mean is the
+	// profiled mean execution time (what a scalar heuristic believes the
+	// execution costs), stored when the profile was built.
 	ScaledProfile(t task.Type, mi int, factor float64) *pmf.Profile
-	// ScaledEstMean is ScaledEntry's profiled mean (what a scalar
-	// heuristic believes the execution costs).
-	ScaledEstMean(t task.Type, mi int, factor float64) float64
 	// RemainingEntry is ScaledEntry conditioned on consumed nominal ticks
 	// of banked progress (X−c | X>c in the factor's time base); consumed
 	// <= 0 is exactly ScaledEntry.

@@ -78,7 +78,8 @@ func (a *Arena) EvictTail(p *PMF, deadline int64) *PMF {
 // materializing either intermediate: the expected completion tick of an
 // already-running task. The accumulation replicates ConditionAtLeast
 // (renormalize element-wise) followed by Mean (mass recomputed from the
-// renormalized values) bit-for-bit.
+// renormalized values) bit-for-bit. A compacted p is walked through its
+// sparse index, so the cost is O(impulses), not O(dense width).
 func CondMeanShifted(p *PMF, dt, t int64) float64 {
 	if p.IsZero() {
 		return 0
@@ -91,6 +92,9 @@ func CondMeanShifted(p *PMF, dt, t int64) float64 {
 			return float64(t) // outran the profile: modeled as finishing now
 		}
 		lo = t - start
+	}
+	if p.nz != nil {
+		return condMeanSparse(p, start, lo, t)
 	}
 	var m float64
 	for _, v := range p.probs[lo:] {
@@ -120,6 +124,45 @@ func CondMeanShifted(p *PMF, dt, t int64) float64 {
 			m2 += v
 			s += v * x
 			x++
+		}
+	}
+	return s / m2
+}
+
+// condMeanSparse is CondMeanShifted over p's sparse index, from dense
+// offset lo on, with p's first slot at tick start. The dense loops visit
+// the indexed slots in the same order and add only ±0 for every other
+// slot, which leaves a non-negative mass, and a sum that starts at +0,
+// unchanged: skipping them is bit-identical. Each float tick is converted
+// from its integer tick, which equals the dense loop's incremented float
+// because ticks stay integral and far below 2^53.
+func condMeanSparse(p *PMF, start, lo, t int64) float64 {
+	nz := p.nz
+	for len(nz) > 0 && int64(nz[0]) < lo {
+		nz = nz[1:]
+	}
+	var m float64
+	for _, off := range nz {
+		m += p.probs[off]
+	}
+	if m == 0 {
+		if t > start {
+			return float64(t)
+		}
+		return 0
+	}
+	var m2, s float64
+	if m != 1 && t > start {
+		for _, off := range nz {
+			q := p.probs[off] / m
+			m2 += q
+			s += q * float64(start+int64(off))
+		}
+	} else {
+		for _, off := range nz {
+			v := p.probs[off]
+			m2 += v
+			s += v * float64(start+int64(off))
 		}
 	}
 	return s / m2

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"taskprune/internal/stats"
 )
 
 // randomPMF builds a normalized PMF with 1..maxLen impulses from quick's
@@ -324,5 +326,54 @@ func TestPropDropEvalSuccessBound(t *testing.T) {
 	}
 	if sparse == 0 {
 		t.Error("no compacted tail took the sparse path")
+	}
+}
+
+// Property: CondMeanShifted over a compacted PMF's sparse index is
+// bit-identical to the dense scan of the same mass without an index, and
+// both match the materialized Shift → ConditionAtLeast → Mean. PMFs are
+// PET-shaped (a 32-bin histogram of gamma samples, compacted as pet.Build
+// does, sometimes harder); shifts cover a fresh start, a late start, and a
+// restored task whose banked progress puts its origin before tick 0. The
+// clock sweeps every tick from below the shifted start to past its end.
+func TestPropCondMeanShiftedSparse(t *testing.T) {
+	points := 0
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		rng := stats.NewRNG(seed)
+		samples := rng.GammaSamples(500, 20+800*r.Float64(), 1+19*r.Float64())
+		sparse := Compact(FromSamples(samples, 32), 1+r.Intn(DefaultMaxImpulses))
+		if sparse.nz == nil {
+			return true // already narrow: nothing to compare
+		}
+		dense := New(sparse.Start(), append([]float64(nil), sparse.probs...))
+		if dense.nz != nil || dense.Start() != sparse.Start() || dense.Len() != sparse.Len() {
+			return false
+		}
+		for _, dt := range []int64{0, r.Int63n(5000), -sparse.Start() - r.Int63n(sparse.End())} {
+			lo, hi := sparse.Start()+dt, sparse.End()+dt
+			for clk := lo - 3; clk <= hi+3; clk++ {
+				got, want := CondMeanShifted(sparse, dt, clk), CondMeanShifted(dense, dt, clk)
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Logf("seed %d dt %d clock %d: sparse %v, dense %v", seed, dt, clk, got, want)
+					return false
+				}
+				points++
+				if clk < lo || clk > hi || dense.At(clk-dt) != 0 {
+					oracle := dense.Shift(dt).ConditionAtLeast(clk).Mean()
+					if math.Float64bits(got) != math.Float64bits(oracle) {
+						t.Logf("seed %d dt %d clock %d: CondMeanShifted %v, materialized %v", seed, dt, clk, got, oracle)
+						return false
+					}
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Error(err)
+	}
+	if points == 0 {
+		t.Error("no compacted PMF took the sparse path")
 	}
 }

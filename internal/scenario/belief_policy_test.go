@@ -26,14 +26,14 @@ func TestBeliefPolicyValidate(t *testing.T) {
 	}
 	invalid := []BeliefPolicy{
 		{Kind: BeliefKind(99)},
-		{Kind: BeliefOnline, Refresh: -1},       // negative cadence
-		{Kind: BeliefOnline, MinSamples: -5},    // negative floor
-		{Kind: BeliefOnline, Bins: -8},          // negative bins
-		{Kind: BeliefOnline, Bins: 1},           // one bin cannot bracket a distribution
-		{Kind: BeliefFrozen, Refresh: 10},       // knob without the online kind
-		{Kind: BeliefOracle, MinSamples: 5},     // knob without the online kind
-		{Kind: BeliefFrozen, Bins: 16},          // knob without the online kind
-		{Kind: BeliefOracle, Refresh: -1},       // inapplicable and negative
+		{Kind: BeliefOnline, Refresh: -1},    // negative cadence
+		{Kind: BeliefOnline, MinSamples: -5}, // negative floor
+		{Kind: BeliefOnline, Bins: -8},       // negative bins
+		{Kind: BeliefOnline, Bins: 1},        // one bin cannot bracket a distribution
+		{Kind: BeliefFrozen, Refresh: 10},    // knob without the online kind
+		{Kind: BeliefOracle, MinSamples: 5},  // knob without the online kind
+		{Kind: BeliefFrozen, Bins: 16},       // knob without the online kind
+		{Kind: BeliefOracle, Refresh: -1},    // inapplicable and negative
 	}
 	for i, p := range invalid {
 		if err := p.Validate(); err == nil {
@@ -109,11 +109,11 @@ func TestBeliefJSONRoundTrip(t *testing.T) {
 
 func TestBeliefJSONRejections(t *testing.T) {
 	parseFail := []string{
-		`{"belief":{"kind":"psychic"}}`,                   // unknown kind
-		`{"belief":{"kind":"online","cadence":5}}`,        // unknown field
-		`{"belief":{"kind":"online","refresh":"often"}}`,  // non-numeric cadence
-		`{"belief":{"kind":"online","min_samples":2.5}}`,  // fractional floor
-		`{"belief":{}}`,                                   // missing kind
+		`{"belief":{"kind":"psychic"}}`,                  // unknown kind
+		`{"belief":{"kind":"online","cadence":5}}`,       // unknown field
+		`{"belief":{"kind":"online","refresh":"often"}}`, // non-numeric cadence
+		`{"belief":{"kind":"online","min_samples":2.5}}`, // fractional floor
+		`{"belief":{}}`, // missing kind
 	}
 	for _, src := range parseFail {
 		if _, err := Parse(strings.NewReader(src)); err == nil {
