@@ -70,16 +70,17 @@ cover:
 		END { if (!found) { printf("FAIL: no coverage line for %s\n", pkg); exit 1 } }' /tmp/cover_raw.txt || exit 1; \
 	done
 
-# Golden decision-trace determinism: the committed traces (single-fleet
-# and 3-DC cluster) must replay byte for byte, twice, so flaky
+# Golden determinism: the committed decision traces (single-fleet and
+# 3-DC cluster) and every experiment's rendered tables (cmd/hcsim's
+# testdata/repro) must replay byte for byte, twice, so flaky
 # nondeterminism cannot hide behind test caching.
 golden:
-	$(GO) test -run Golden -count=2 ./internal/simulator/ ./internal/cluster/
+	$(GO) test -run Golden -count=2 ./internal/simulator/ ./internal/cluster/ ./cmd/hcsim/
 
-# Regenerate the golden traces after an intentional behavior change; review
-# the diff like any other scheduling change.
+# Regenerate the golden traces and tables after an intentional behavior
+# change; review the diff like any other scheduling change.
 golden-update:
-	$(GO) test -run Golden ./internal/simulator/ ./internal/cluster/ -update
+	$(GO) test -run Golden ./internal/simulator/ ./internal/cluster/ ./cmd/hcsim/ -update
 
 # Allocation-regression tripwire: every benchmark in the committed
 # baseline must stay within 2x of its recorded allocs/op and B/op.
