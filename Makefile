@@ -9,7 +9,7 @@ DOCKER_IMAGE        ?= hcsim:dev
 # coverage when its guard was introduced; raise a floor when coverage
 # durably improves, never lower one to make a PR pass.
 #  - internal/cluster: the package where a silent test regression would
-#    hurt most (detection, gate buffering, the parallel drivers).
+#    hurt most (detection, gate buffering, the wide-window driver).
 #  - internal/report, internal/metrics: the rendering and accounting
 #    surfaces every experiment's output flows through.
 #  - internal/telemetry: the probe/sampler/export layer whose zero-cost
@@ -90,8 +90,8 @@ bench-guard:
 # Race check of the sharded cluster engine: the 1-DC cluster equivalence
 # tests and the parallel-stepping determinism matrix (sequential vs
 # per-DC-goroutine runs must produce byte-identical traces across
-# GOMAXPROCS settings) — the entire shared-state surface of the barrier
-# and wide-window drivers in internal/cluster/parallel.go.
+# GOMAXPROCS settings) — the entire shared-state surface of the
+# wide-window driver in internal/cluster/parallel.go.
 race-cluster:
 	$(GO) test -race -run 'ClusterEquivalence|ClusterParallelStepDeterminism|ParallelGateDrops' ./internal/cluster/
 
@@ -106,9 +106,9 @@ race-stream: race-cluster
 	$(GO) test -race -run 'CheckpointDisabledEquivalence|BeliefOracleEquivalence' ./internal/simulator/
 	$(GO) test -race -run ScaledAndRemainingCachesConcurrent ./internal/pet/
 
-# Race check of the telemetry layer: the sampler shard merge under both
-# parallel cluster drivers (per-shard rows must stay byte-identical to the
-# sequential driver's across GOMAXPROCS settings) and the HTTP export
+# Race check of the telemetry layer: the sampler shard merge under the
+# wide-window driver (per-shard rows must stay byte-identical to the
+# sequential path's across GOMAXPROCS settings) and the HTTP export
 # server's Publish/render surface hammered from concurrent goroutines.
 race-telemetry:
 	$(GO) test -race -run 'ClusterParallelTelemetryDeterminism|TelemetryDoesNotPerturbScheduling' ./internal/cluster/

@@ -9,7 +9,7 @@
 //	hcsim -exp single -heuristic PAM -scenario churn.json
 //	hcsim -exp single -heuristic PAM -tasks 1000000 -stream
 //	hcsim -exp single -heuristic PAM -dcs 4 -route pet-aware
-//	hcsim -exp single -heuristic PAM -dcs 4 -route round-robin -dcpar
+//	hcsim -exp single -heuristic PAM -dcs 4 -route round-robin -dcpar  # per-DC goroutines (round-robin only)
 //	hcsim -exp scen-fault           # fleet-churn fault-tolerance study
 //	hcsim -exp cluster-fault        # sharded whole-DC outage study
 //	hcsim -exp fig5 -csv fig5.csv   # also export CSV
@@ -117,7 +117,7 @@ func main() {
 		stream    = flag.Bool("stream", false, "pull arrivals from the constant-memory streaming source (per-type RNG splits; workloads differ from the replay schedule at equal seeds), enabling -tasks far past materializable scale")
 		dcs       = flag.Int("dcs", 1, "shard -exp single across this many datacenters (1 = the plain single-fleet engine)")
 		route     = flag.String("route", "round-robin", "dispatch policy for -dcs > 1: "+strings.Join(cluster.PolicyNames(), ", "))
-		dcpar     = flag.Bool("dcpar", false, "step the -dcs datacenters concurrently between cluster-clock barriers (byte-identical results; requires -dcs > 1)")
+		dcpar     = flag.Bool("dcpar", false, "step the -dcs datacenters on per-DC goroutines through the wide-window driver (byte-identical results; requires -dcs > 1 and -route round-robin)")
 		belief    = flag.String("belief", "", "mapper knowledge model for -exp single: oracle, frozen, or online (empty = the scenario's, else oracle)")
 
 		telemetryPath = flag.String("telemetry", "", "write per-shard telemetry time series to this file after an -exp single run (.json = JSON series, anything else = CSV)")

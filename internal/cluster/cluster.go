@@ -22,6 +22,7 @@ package cluster
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 
@@ -64,12 +65,13 @@ type Config struct {
 	// scenario's, and a disabled policy keeps the oracle dispatcher
 	// byte-identical to engines built before the layer existed.
 	Failover *scenario.FailoverPolicy
-	// Parallel steps the datacenters concurrently between cluster-clock
-	// barriers, one goroutine per DC, instead of interleaving them on the
-	// caller's goroutine. Traces, dispatch log, and statistics are
-	// byte-identical either way (the determinism tests pin this); the knob
-	// only trades goroutines for wall-clock. See parallel.go for the
-	// barrier/merge semantics.
+	// Parallel steps the datacenters concurrently, one goroutine per DC,
+	// through the wide-window driver (parallel.go) instead of interleaving
+	// them on the caller's goroutine. It needs round-robin routing — New
+	// rejects any other policy, whose picks read queue state the workers
+	// mutate. Traces, dispatch log, and statistics are byte-identical
+	// either way (the determinism tests pin this); the knob only trades
+	// goroutines for wall-clock.
 	Parallel bool
 	// Telemetry, when non-nil, enables probe registries and tick-driven
 	// samplers: one shard for the engine (gate and health metrics) and one
@@ -198,11 +200,13 @@ type Engine struct {
 	gateStats metrics.GateStats
 	lostByDC  []int
 
-	// Live-driving state (live.go): armed by StartLive, after which the
-	// engine is driven one submission at a time instead of by RunSource.
-	liveOn        bool
-	liveSubmitted int
-	liveArrival   int64
+	// Submission state (live.go): how many tasks submit has accepted and
+	// the last one's arrival tick. liveOn is armed by StartLive, after
+	// which the engine is driven one submission at a time instead of by
+	// RunSource.
+	liveOn      bool
+	submitted   int
+	lastArrival int64
 
 	// Telemetry: the engine's own shard (tel/sampler/pr), the engine's
 	// dispatch-phase timer, and the per-DC timers it merges at the end.
@@ -246,6 +250,9 @@ func New(cfg Config) (*Engine, error) {
 	policy := cfg.Policy
 	if policy == nil {
 		policy = &RoundRobin{}
+	}
+	if _, rr := policy.(*RoundRobin); cfg.Parallel && !rr {
+		return nil, fmt.Errorf("cluster: parallel stepping needs round-robin routing; %q reads datacenter state the stepping workers mutate", policy.Name())
 	}
 	clusterEvents, perDC, err := splitScenario(cfg.Sim.Scenario, nm, cfg.DCs)
 	if err != nil {
@@ -404,86 +411,31 @@ func splitScenario(sc *scenario.Scenario, nm, nDCs int) ([]scenario.Event, []*sc
 // returns the cluster aggregate (robustness over everything that flowed
 // through the cluster, cost summed across datacenters) plus each
 // datacenter's own trial statistics.
+//
+// The sequential run is the live path (live.go) run to completion: every
+// pulled task is submitted in turn, then the event queue runs dry.
 func (e *Engine) RunSource(src workload.Source) (metrics.TrialStats, []metrics.TrialStats, error) {
-	trim := e.cfg.Sim.Trim
-	if trim == 0 {
-		trim = metrics.DefaultTrim
-	}
-	e.collector = metrics.NewStream(e.matrix.NumTypes(), trim)
-	e.recycler, _ = src.(workload.Recycler)
-	for _, d := range e.dcs {
-		d.sim.Begin(e.collector)
-		d.sim.SetRecycler(e.recycler)
-	}
+	rec, _ := src.(workload.Recycler)
+	e.begin(rec)
 	if e.cfg.Parallel && len(e.dcs) > 1 {
 		if err := e.runParallel(src); err != nil {
 			return metrics.TrialStats{}, nil, err
 		}
-	} else if err := e.runSequential(src); err != nil {
-		return metrics.TrialStats{}, nil, err
-	}
-	// The drivers return with every arrival and event consumed; anything
-	// still waiting in the gate buffer has nowhere left to go.
-	e.flushGateBuffer()
-	// Flush the engine shard at the cluster-wide end of simulated time.
-	// The sequential driver advances e.now on per-DC events while the
-	// parallel drivers leave those to the workers, so e.now alone is
-	// driver-dependent; the max over the datacenters' clocks is not.
-	end := e.now
-	for _, d := range e.dcs {
-		if t := d.sim.Now(); t > end {
-			end = t
+	} else {
+		for t, ok := src.Next(); ok; t, ok = src.Next() {
+			if err := e.submit(t); err != nil {
+				return metrics.TrialStats{}, nil, err
+			}
+		}
+		// Unlike Quiesce, which stops once nothing is in flight, the batch
+		// drain runs the event queue dry: trailing events such as a
+		// far-future dc-fail still fire and show in telemetry.
+		if err := e.stepBefore(math.MaxInt64); err != nil {
+			return metrics.TrialStats{}, nil, err
 		}
 	}
-	e.sampler.Flush(end)
-	perDC := make([]metrics.TrialStats, len(e.dcs))
-	total := 0.0
-	for i, d := range e.dcs {
-		perDC[i] = d.sim.Finalize()
-		total += perDC[i].TotalCost
-	}
-	return e.collector.Finalize(total), perDC, nil
-}
-
-// runSequential interleaves the datacenters on the caller's goroutine —
-// the reference event order every other driver must reproduce.
-func (e *Engine) runSequential(src workload.Source) error {
-	next, hasNext, err := e.pull(src)
-	if err != nil {
-		return err
-	}
-	for {
-		tick, dc, ok := e.nextEvent()
-		switch {
-		case hasNext && (!ok || next.Arrival <= tick):
-			// Arrivals win ties, exactly as in the single-fleet engine.
-			if err := e.dispatch(next); err != nil {
-				return err
-			}
-			if next, hasNext, err = e.pull(src); err != nil {
-				return err
-			}
-		case ok:
-			if err := e.stepNext(tick, dc); err != nil {
-				return err
-			}
-		default:
-			return nil
-		}
-	}
-}
-
-// pull fetches and order-checks the stream's next task (per-task
-// validation happens in the receiving datacenter's Admit).
-func (e *Engine) pull(src workload.Source) (*task.Task, bool, error) {
-	t, ok := src.Next()
-	if !ok {
-		return nil, false, nil
-	}
-	if t.Arrival < e.now {
-		return nil, false, fmt.Errorf("cluster: source emitted task %d arriving at %d after the clock reached %d", t.ID, t.Arrival, e.now)
-	}
-	return t, true, nil
+	st, perDC := e.finish()
+	return st, perDC, nil
 }
 
 // Sentinel dc values returned by nextEvent for engine-level event sources.
@@ -515,7 +467,7 @@ func (e *Engine) nextEvent() (tick int64, dc int, ok bool) {
 
 // dispatch routes one arrival through the gate (routeArrival decides its
 // fate; admitted tasks enter their datacenter's simulator immediately —
-// this is the sequential driver's admit step).
+// this is the sequential path's admit step).
 func (e *Engine) dispatch(t *task.Task) error {
 	d, admit, err := e.routeArrival(t)
 	if err != nil || !admit {
@@ -537,7 +489,7 @@ func (e *Engine) pick(now int64, t *task.Task) (int, error) {
 }
 
 // stepClusterEvent fires the next dc-fail/dc-recover and ticks the
-// engine's telemetry shard — every driver calls it with workers quiescent
+// engine's telemetry shard — both drivers call it with workers quiescent
 // at e.now, so the shard sequence is identical across drivers.
 func (e *Engine) stepClusterEvent() error {
 	err := e.applyClusterEvent()

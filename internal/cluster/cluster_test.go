@@ -84,8 +84,82 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(bad); err == nil {
 		t.Error("dc-fail with out-of-range datacenter accepted")
 	}
+	for _, route := range []string{"pet-aware", "least-queued"} {
+		policy, err := NewPolicy(route)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bad = base
+		bad.Policy = policy
+		bad.Parallel = true
+		if _, err := New(bad); err == nil {
+			t.Errorf("parallel stepping with %s routing accepted", route)
+		}
+	}
 	if _, err := New(base); err != nil {
 		t.Fatalf("valid config rejected: %v", err)
+	}
+	par := base
+	par.Parallel = true
+	if _, err := New(par); err != nil {
+		t.Fatalf("parallel round-robin config rejected: %v", err)
+	}
+}
+
+// sliceSource emits its tasks in slice order, unsorted — unlike
+// workload.FromTasks, which sorts by arrival and so cannot produce a
+// backwards stream.
+type sliceSource []*task.Task
+
+func (s *sliceSource) Next() (*task.Task, bool) {
+	if len(*s) == 0 {
+		return nil, false
+	}
+	t := (*s)[0]
+	*s = (*s)[1:]
+	return t, true
+}
+
+// TestBackwardsArrivalRejected: a source whose arrivals go backwards (10,
+// then 5) is an error naming the late task on every driver — the
+// single-fleet simulator (caught by Admit), the sequential cluster path
+// (caught by submit), and the round-robin wide-window driver (caught by
+// pull).
+func TestBackwardsArrivalRejected(t *testing.T) {
+	matrix := clusterPET(t)
+	backwards := func() workload.Source {
+		tasks := clusterWorkload(t, matrix, 2, 1)
+		tasks[0].ID, tasks[0].Arrival = 41, 10
+		tasks[1].ID, tasks[1].Arrival = 42, 5
+		src := sliceSource(tasks)
+		return &src
+	}
+	check := func(driver string, err error) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), "task 42 ") {
+			t.Errorf("%s: backwards arrival not rejected by name: %v", driver, err)
+		}
+	}
+
+	sim, err := simulator.New(simulator.MustConfigFor("PAM", matrix))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = sim.RunSource(backwards())
+	check("simulator", err)
+
+	for _, c := range []struct {
+		driver   string
+		parallel bool
+	}{{"sequential cluster", false}, {"wide-window cluster", true}} {
+		cfg := clusterConfig(t, "PAM", matrix, 3, nil, nil)
+		cfg.Parallel = c.parallel
+		eng, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _, err = eng.RunSource(backwards())
+		check(c.driver, err)
 	}
 }
 

@@ -204,8 +204,8 @@ func (e *Engine) stepGateEvent() error {
 }
 
 // applyGateEvent fires the earliest gate event. The caller has already set
-// e.now to its tick, and — in the parallel drivers — quiesced every worker
-// at that tick, so touching the simulators directly here reproduces the
+// e.now to its tick, and — in the wide-window driver — quiesced every
+// worker at that tick, so touching the simulators directly here reproduces the
 // sequential interleave exactly.
 func (e *Engine) applyGateEvent() error {
 	ev := e.popGate()
@@ -243,8 +243,8 @@ func (e *Engine) applyGateEvent() error {
 
 // routeArrival decides a fresh arrival's fate at its arrival tick and
 // reports where it went: (dc, true) means the caller must admit it into
-// that datacenter's simulator (drivers differ in how — direct Admit,
-// pending barrier admit, or worker channel); (_, false) means the gate
+// that datacenter's simulator (drivers differ in how — direct Admit or
+// worker channel); (_, false) means the gate
 // already consumed it (buffered, dropped, or bounced into retry limbo).
 // It also counts the arrival, times the dispatch span, and ticks the
 // engine's telemetry shard — engine-owned state only, so the wide-window

@@ -335,21 +335,23 @@ func detectStormScenario() *scenario.Scenario {
 }
 
 // TestClusterParallelStepDeterminismDetection extends the parallel
-// drivers' byte-identity contract to the detection layer: with heartbeat
+// driver's byte-identity contract to the detection layer: with heartbeat
 // detection, bounded buffering with deadline-aware shedding, and
-// retry/backoff all active, both the barrier driver (stateful routes) and
-// the wide-window driver (round-robin) must reproduce the sequential
-// record — traces, dispatch log, statistics, and every gate counter — at
-// every GOMAXPROCS setting. Runs under -race via make race-cluster.
+// retry/backoff all active, the wide-window driver (round-robin) must
+// reproduce the sequential record — traces, dispatch log, statistics, and
+// every gate counter — at every GOMAXPROCS setting. Stateful routes are
+// refused the parallel knob (parallelArm) and replay the sequential path.
+// Runs under -race via make race-cluster.
 func TestClusterParallelStepDeterminismDetection(t *testing.T) {
 	matrix := clusterPET(t)
 	sc := detectStormScenario()
 	for _, route := range []string{"pet-aware", "least-queued", "round-robin"} {
 		t.Run(route, func(t *testing.T) {
+			par := parallelArm(t, route)
 			wantBlob, _, wantStats, wantPerDC := clusterTrialMode(t, matrix, "PAM", route, sc, false)
 			for _, gmp := range []int{1, 4, 8} {
 				prev := runtime.GOMAXPROCS(gmp)
-				blob, _, stats, perDC := clusterTrialMode(t, matrix, "PAM", route, sc, true)
+				blob, _, stats, perDC := clusterTrialMode(t, matrix, "PAM", route, sc, par)
 				runtime.GOMAXPROCS(prev)
 				if string(blob) != string(wantBlob) {
 					t.Fatalf("GOMAXPROCS=%d: parallel detection record diverges from sequential (%d vs %d bytes)",

@@ -36,8 +36,8 @@ func clusterTrial(t testing.TB, matrix *pet.Matrix, heuristic, route string, sc 
 }
 
 // clusterTrialMode is clusterTrial with the Parallel knob exposed: the
-// parallel determinism tests render both drivers through the same code
-// and demand byte equality.
+// parallel determinism tests render the sequential path and the
+// wide-window driver through the same code and demand byte equality.
 func clusterTrialMode(t testing.TB, matrix *pet.Matrix, heuristic, route string, sc *scenario.Scenario, parallel bool) ([]byte, []Dispatch, metrics.TrialStats, []metrics.TrialStats) {
 	t.Helper()
 	const dcs = 3

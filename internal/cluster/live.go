@@ -8,28 +8,117 @@ import (
 	"taskprune/internal/workload"
 )
 
-// Live driving: the serve daemon's incremental alternative to RunSource.
-// RunSource owns the whole trial — it pulls arrivals until the source is
-// exhausted, then finalizes. A server cannot hand over control like that:
-// submissions trickle in over wall time, and between them the engine must
-// settle its in-flight work so status endpoints see completions, not a
-// frozen clock. StartLive/SubmitLive/Quiesce/FinishLive expose exactly the
-// runSequential loop, re-cut at submission boundaries:
+// The stepping path. RunSource's sequential run and the serve daemon's
+// live driving share one loop, cut at submission boundaries:
 //
-//   - SubmitLive(t) steps every pending event strictly before t.Arrival,
-//     then dispatches t — the same "arrivals win ties" order runSequential
-//     uses, so submitting a workload task-by-task is byte-equivalent to
-//     RunSource over the same tasks (the equivalence test pins this).
-//   - Quiesce steps pending events only while tasks are in flight. It
-//     deliberately does NOT run the event queue dry: far-future scenario
-//     events (a dc-fail at tick 10⁶) must wait for the clock to be pulled
-//     forward by real submissions, and gate-buffered tasks legitimately
-//     wait for a recovery event with nothing else pending.
-//   - FinishLive is RunSource's tail: flush the gate buffer, flush the
-//     telemetry sampler at the cluster-wide end of time, finalize.
+//   - begin allocates the cluster collector and readies every datacenter.
+//   - submit(t) fires every pending event strictly before t.Arrival
+//     (stepBefore), then dispatches t — arrivals win ties.
+//   - stepBefore(horizon) is the one stepping loop: submit's catch-up, and
+//     the batch drain at horizon math.MaxInt64.
+//   - finish exits anything still parked in the gate buffer, flushes the
+//     telemetry sampler at the cluster-wide end of time, and finalizes.
+//
+// RunSource is begin, submit per pulled task, stepBefore(math.MaxInt64),
+// finish. Live driving exposes the same steps to a server, where
+// submissions trickle in over wall time and between them the engine must
+// settle its in-flight work so status endpoints see completions, not a
+// frozen clock: StartLive is begin, SubmitLive is submit, and FinishLive
+// is Quiesce plus finish. Quiesce steps pending events only while tasks
+// are in flight. It deliberately does NOT run the event queue dry:
+// far-future scenario events (a dc-fail at tick 10⁶) must wait for the
+// clock to be pulled forward by real submissions, and gate-buffered tasks
+// legitimately wait for a recovery event with nothing else pending.
+// Submitting a workload task by task is therefore byte-equivalent to
+// RunSource over the same tasks up to the drain (the equivalence test
+// pins this).
 //
 // Like RunSource, live driving is single-goroutine: the daemon's pump owns
 // the engine, and HTTP handlers see only published snapshots.
+
+// begin allocates the cluster collector and readies every datacenter for
+// stepping; rec, when non-nil, receives every retired task.
+func (e *Engine) begin(rec workload.Recycler) {
+	trim := e.cfg.Sim.Trim
+	if trim == 0 {
+		trim = metrics.DefaultTrim
+	}
+	e.collector = metrics.NewStream(e.matrix.NumTypes(), trim)
+	e.recycler = rec
+	for _, d := range e.dcs {
+		d.sim.Begin(e.collector)
+		d.sim.SetRecycler(rec)
+	}
+}
+
+// submit admits one task at its stamped Arrival tick: pending events
+// strictly before the arrival fire first, then the task routes through
+// the gate and dispatcher. Arrivals must be non-decreasing across calls.
+func (e *Engine) submit(t *task.Task) error {
+	if t.Arrival < e.lastArrival {
+		return fmt.Errorf("cluster: task %d arrives at %d before the previous submission's %d", t.ID, t.Arrival, e.lastArrival)
+	}
+	e.lastArrival = t.Arrival
+	if err := e.stepBefore(t.Arrival); err != nil {
+		return err
+	}
+	e.submitted++
+	return e.dispatch(t)
+}
+
+// stepBefore fires every pending event strictly before horizon, in the
+// global tie order nextEvent defines.
+func (e *Engine) stepBefore(horizon int64) error {
+	for {
+		tick, dc, ok := e.nextEvent()
+		if !ok || tick >= horizon {
+			return nil
+		}
+		if err := e.stepNext(tick, dc); err != nil {
+			return err
+		}
+	}
+}
+
+// stepNext fires the event nextEvent selected: it advances the engine
+// clock and routes engine-level events.
+func (e *Engine) stepNext(tick int64, dc int) error {
+	e.now = tick
+	switch dc {
+	case dcCluster:
+		return e.stepClusterEvent()
+	case dcGate:
+		return e.stepGateEvent()
+	default:
+		e.dcs[dc].sim.StepEvent()
+		return nil
+	}
+}
+
+// finish is RunSource's and FinishLive's tail: exit anything still parked
+// in the gate buffer, flush the engine's telemetry shard at the
+// cluster-wide end of simulated time, and finalize — the cluster aggregate
+// plus each datacenter's own statistics. The engine is spent afterwards.
+func (e *Engine) finish() (metrics.TrialStats, []metrics.TrialStats) {
+	e.flushGateBuffer()
+	// The sequential path advances e.now on per-DC events while the
+	// wide-window driver leaves those to the workers, so e.now alone is
+	// driver-dependent; the max over the datacenters' clocks is not.
+	end := e.now
+	for _, d := range e.dcs {
+		if t := d.sim.Now(); t > end {
+			end = t
+		}
+	}
+	e.sampler.Flush(end)
+	perDC := make([]metrics.TrialStats, len(e.dcs))
+	total := 0.0
+	for i, d := range e.dcs {
+		perDC[i] = d.sim.Finalize()
+		total += perDC[i].TotalCost
+	}
+	return e.collector.Finalize(total), perDC
+}
 
 // StartLive arms the engine for incremental driving. rec, when non-nil,
 // receives every retired task (the daemon passes its LiveSource so task
@@ -45,60 +134,18 @@ func (e *Engine) StartLive(rec workload.Recycler) error {
 	if e.cfg.Parallel {
 		return fmt.Errorf("cluster: live driving is sequential; build the engine with Parallel false")
 	}
-	trim := e.cfg.Sim.Trim
-	if trim == 0 {
-		trim = metrics.DefaultTrim
-	}
-	e.collector = metrics.NewStream(e.matrix.NumTypes(), trim)
-	e.recycler = rec
-	for _, d := range e.dcs {
-		d.sim.Begin(e.collector)
-		d.sim.SetRecycler(rec)
-	}
+	e.begin(rec)
 	e.liveOn = true
 	return nil
 }
 
-// stepNext fires the event nextEvent selected — the body of
-// runSequential's event arm, shared so both drivers advance the clock and
-// route engine-level events identically.
-func (e *Engine) stepNext(tick int64, dc int) error {
-	e.now = tick
-	switch dc {
-	case dcCluster:
-		return e.stepClusterEvent()
-	case dcGate:
-		return e.stepGateEvent()
-	default:
-		e.dcs[dc].sim.StepEvent()
-		return nil
-	}
-}
-
-// SubmitLive admits one task at its stamped Arrival tick: pending events
-// strictly before the arrival fire first (arrivals win ties, exactly as in
-// runSequential), then the task routes through the gate and dispatcher.
-// Arrivals must be non-decreasing across calls — the caller owns the
-// simulated clock and stamps ticks via Now.
+// SubmitLive admits one task at its stamped Arrival tick (see submit).
+// The caller owns the simulated clock and stamps ticks via Now.
 func (e *Engine) SubmitLive(t *task.Task) error {
 	if !e.liveOn {
 		return fmt.Errorf("cluster: SubmitLive before StartLive")
 	}
-	if t.Arrival < e.liveArrival {
-		return fmt.Errorf("cluster: live submission %d arrives at %d before the previous submission's %d", t.ID, t.Arrival, e.liveArrival)
-	}
-	e.liveArrival = t.Arrival
-	for {
-		tick, dc, ok := e.nextEvent()
-		if !ok || tick >= t.Arrival {
-			break
-		}
-		if err := e.stepNext(tick, dc); err != nil {
-			return err
-		}
-	}
-	e.liveSubmitted++
-	return e.dispatch(t)
+	return e.submit(t)
 }
 
 // Quiesce settles the system after a burst: it steps pending events while
@@ -131,18 +178,18 @@ func (e *Engine) InFlight() int {
 	if e.collector == nil {
 		return 0
 	}
-	return e.liveSubmitted - e.collector.Total()
+	return e.submitted - e.collector.Total()
 }
 
 // Submitted returns how many tasks SubmitLive has accepted.
-func (e *Engine) Submitted() int { return e.liveSubmitted }
+func (e *Engine) Submitted() int { return e.submitted }
 
 // Now returns the engine's clock: the tick of the last event or submission
 // it processed. Live producers stamp the next submission's Arrival at or
 // after this.
 func (e *Engine) Now() int64 {
-	if e.liveArrival > e.now {
-		return e.liveArrival
+	if e.lastArrival > e.now {
+		return e.lastArrival
 	}
 	return e.now
 }
@@ -167,11 +214,8 @@ func (e *Engine) LiveStats() metrics.TrialStats {
 	return e.collector.Finalize(0)
 }
 
-// FinishLive ends a live run: it quiesces in-flight work, exits anything
-// still parked in the gate buffer, flushes the telemetry sampler at the
-// cluster-wide end of simulated time, and finalizes — RunSource's tail,
-// returning the cluster aggregate plus each datacenter's own statistics.
-// The engine is spent afterwards.
+// FinishLive ends a live run: it quiesces in-flight work, then runs
+// finish. The engine is spent afterwards.
 func (e *Engine) FinishLive() (metrics.TrialStats, []metrics.TrialStats, error) {
 	if !e.liveOn {
 		return metrics.TrialStats{}, nil, fmt.Errorf("cluster: FinishLive before StartLive")
@@ -179,20 +223,7 @@ func (e *Engine) FinishLive() (metrics.TrialStats, []metrics.TrialStats, error) 
 	if err := e.Quiesce(); err != nil {
 		return metrics.TrialStats{}, nil, err
 	}
-	e.flushGateBuffer()
-	end := e.now
-	for _, d := range e.dcs {
-		if t := d.sim.Now(); t > end {
-			end = t
-		}
-	}
-	e.sampler.Flush(end)
-	perDC := make([]metrics.TrialStats, len(e.dcs))
-	total := 0.0
-	for i, d := range e.dcs {
-		perDC[i] = d.sim.Finalize()
-		total += perDC[i].TotalCost
-	}
 	e.liveOn = false
-	return e.collector.Finalize(total), perDC, nil
+	st, perDC := e.finish()
+	return st, perDC, nil
 }

@@ -1,64 +1,41 @@
-// Parallel per-DC stepping. The engine's event order — arrivals first,
-// then cluster-scoped events, then per-DC events by index — already makes
-// every dispatch decision a synchronization point and everything between
-// two sync points embarrassingly parallel: per-DC internal events touch
-// only their datacenter's private simulator core, the shared cluster
-// collector is interleaving-invariant (metrics.Stream.Share), and the
-// task pool is a sync.Pool. The drivers below exploit exactly that
-// structure, in two flavors keyed on what the routing policy reads:
+// Parallel per-DC stepping: the wide-window driver behind Config.Parallel.
+// The engine's event order — arrivals first, then cluster-scoped events,
+// then per-DC events by index — makes every engine-level event a
+// synchronization point and everything between two of them embarrassingly
+// parallel once routing cannot depend on how far the datacenters have
+// stepped. Per-DC internal events touch only their datacenter's private
+// simulator core, the shared cluster collector is interleaving-invariant
+// (metrics.Stream.Share), and the task pool is a sync.Pool.
 //
-//   - Barrier-per-arrival (any policy): the trial is cut at every sync
-//     point S (next arrival, next dc-fail/dc-recover, or next gate event).
-//     One phase hands each datacenter its work up to S — the arrival
-//     admitted at the previous sync point, overlapped with every other
-//     datacenter's internal events below S — and the engine waits for all
-//     of them before routing at S. Stateful policies (least-queued,
-//     pet-aware) therefore see bit-for-bit the queue state the sequential
-//     interleave would have shown them.
-//
-//   - Wide-window pipelining (state-free policies, StateFreeRouter): when
-//     Pick provably reads nothing but the policy's own cursor and the
-//     believed-healthy set, the engine routes the whole window up to the
-//     next cluster-scoped or gate event ahead of time, streaming arrivals
-//     into bounded per-DC channels while the workers admit and step
-//     concurrently; barriers remain only at those engine-level events and
-//     at end of stream. The window bound is re-read after every dispatch:
-//     routing into a down-but-undetected datacenter plants a retry gate
-//     event that may now precede the next arrival.
+// Round-robin routing (the only policy New accepts with Parallel) reads
+// nothing but its own cursor and the believed-healthy set, both owned by
+// the engine goroutine. So the engine routes the whole window up to the
+// next cluster-scoped or gate event ahead of time, streaming arrivals into
+// bounded per-DC channels while the workers admit and step concurrently;
+// barriers remain only at those engine-level events and at end of stream.
+// The window bound is re-read after every dispatch: routing into a
+// down-but-undetected datacenter plants a retry gate event that may now
+// precede the next arrival. Stateful policies (least-queued, pet-aware)
+// would need a barrier per arrival, and measurement showed that never
+// beat the sequential path by enough to keep, so they run sequentially.
 //
 // Gate events (detection, trust, salvage, retry — failover.go) fire on the
 // engine goroutine with every worker quiescent at that tick, so their
 // simulator injections land in exactly the sequential call order.
 //
-// Both drivers replay byte-identically against the sequential interleave
+// The driver replays byte-identically against the sequential path
 // (traces, dispatch log, statistics) — TestClusterParallelStepDeterminism
 // pins this across GOMAXPROCS settings under the race detector.
 package cluster
 
 import (
+	"fmt"
 	"math"
 	"sync"
 
 	"taskprune/internal/task"
 	"taskprune/internal/workload"
 )
-
-// StateFreeRouter marks a Policy whose Pick depends only on the policy's
-// own internal state and each datacenter's Alive flag (the dispatcher's
-// health belief — engine-owned, mutated only between barriers) — never on
-// queue contents, machine state, or anything else a concurrently stepping
-// simulator mutates. The engine pipelines such policies through the
-// wide-window driver; a policy that reads more than it declares here
-// would race and lose replay determinism, so implement StateFree with
-// care (RoundRobin: a cursor over the believed-healthy set, nothing else).
-type StateFreeRouter interface {
-	Policy
-	StateFree() bool
-}
-
-// StateFree implements StateFreeRouter: a round-robin pick reads the
-// cursor and the alive flags, both owned by the engine goroutine.
-func (p *RoundRobin) StateFree() bool { return true }
 
 // wideWindowBuffer bounds each datacenter's in-flight arrival channel in
 // the wide-window driver; a full channel backpressures the dispatcher.
@@ -103,11 +80,10 @@ func (w *dcWorker) loop(wg *sync.WaitGroup) {
 }
 
 // parallelRunner drives one parallel trial: the engine plus its worker
-// set and the per-phase scratch.
+// set.
 type parallelRunner struct {
 	e       *Engine
 	workers []*dcWorker
-	sent    []int // scratch: worker indices participating in the phase
 }
 
 // runParallel steps the datacenters concurrently. It returns only after
@@ -115,7 +91,7 @@ type parallelRunner struct {
 // simulators (Finalize) freely afterwards.
 func (e *Engine) runParallel(src workload.Source) error {
 	e.collector.Share()
-	r := &parallelRunner{e: e, sent: make([]int, 0, len(e.dcs))}
+	r := &parallelRunner{e: e}
 	var wg sync.WaitGroup
 	for _, d := range e.dcs {
 		w := &dcWorker{dc: d, work: make(chan dcWork, wideWindowBuffer), done: make(chan struct{}, 1)}
@@ -129,10 +105,20 @@ func (e *Engine) runParallel(src workload.Source) error {
 		}
 		wg.Wait()
 	}()
-	if sf, ok := e.policy.(StateFreeRouter); ok && sf.StateFree() {
-		return r.runWide(src)
+	return r.runWide(src)
+}
+
+// pull fetches and order-checks the stream's next task (per-task
+// validation happens in the receiving datacenter's Admit).
+func (e *Engine) pull(src workload.Source) (*task.Task, bool, error) {
+	t, ok := src.Next()
+	if !ok {
+		return nil, false, nil
 	}
-	return r.runBarrier(src)
+	if t.Arrival < e.now {
+		return nil, false, fmt.Errorf("cluster: source emitted task %d arriving at %d after the clock reached %d", t.ID, t.Arrival, e.now)
+	}
+	return t, true, nil
 }
 
 // nextClusterTick peeks the engine's own dc-fail/dc-recover schedule.
@@ -143,108 +129,10 @@ func (e *Engine) nextClusterTick() (int64, bool) {
 	return 0, false
 }
 
-// runBarrier is the any-policy driver: a phase per sync point, the
-// pending admit overlapped with the other datacenters' stepping.
-//
-// Loop invariant: entering an iteration, every datacenter has processed
-// exactly its internal events with tick strictly below the previous sync
-// point, and the arrival routed there (if any) is still pending — so the
-// phase below, whose horizon is the next sync point, first lands that
-// admit at its own tick and then steps everyone forward, reproducing the
-// sequential order: admit at S, then internal events in [S, S'), then the
-// routing decision at S'.
-func (r *parallelRunner) runBarrier(src workload.Source) error {
-	e := r.e
-	next, hasNext, err := e.pull(src)
-	if err != nil {
-		return err
-	}
-	var pending *task.Task
-	pendingDC := -1
-	for {
-		// The next engine-level sync point, in the sequential tie order:
-		// arrivals beat cluster events beat gate events at the same tick.
-		ct, hasCluster := e.nextClusterTick()
-		gt, hasGate := e.nextGateTick()
-		engineSync := int64(math.MaxInt64)
-		isCluster := false
-		if hasGate {
-			engineSync = gt
-		}
-		if hasCluster && ct <= engineSync {
-			engineSync, isCluster = ct, true
-		}
-		arrivalSync := hasNext && next.Arrival <= engineSync
-		horizon := engineSync
-		if arrivalSync {
-			horizon = next.Arrival
-		}
-		if err := r.phase(horizon, pendingDC, pending); err != nil {
-			return err
-		}
-		pending, pendingDC = nil, -1
-		switch {
-		case arrivalSync:
-			t := next
-			d, admit, rerr := e.routeArrival(t)
-			if rerr != nil {
-				return rerr
-			}
-			if admit {
-				pending, pendingDC = t, d
-			}
-			if next, hasNext, err = e.pull(src); err != nil {
-				return err
-			}
-		case isCluster:
-			e.now = ct
-			if err := e.stepClusterEvent(); err != nil {
-				return err
-			}
-		case hasGate:
-			e.now = gt
-			if err := e.stepGateEvent(); err != nil {
-				return err
-			}
-		default:
-			return nil // the MaxInt64 phase above drained every queue
-		}
-	}
-}
-
-// phase fans one sync window out to the workers and waits for all of
-// them: datacenter admitDC admits the pending arrival (nil for a
-// cluster-event or drain phase), every datacenter with internal events
-// below horizon steps them, idle datacenters are skipped entirely.
-// Peeking their queues from here is safe — workers are quiescent between
-// phases.
-func (r *parallelRunner) phase(horizon int64, admitDC int, admit *task.Task) error {
-	r.sent = r.sent[:0]
-	for i, w := range r.workers {
-		m := dcWork{horizon: horizon, ack: true}
-		if i == admitDC {
-			m.admit = admit
-		} else if t, ok := r.e.dcs[i].sim.NextEventTick(); !ok || t >= horizon {
-			continue
-		}
-		w.work <- m
-		r.sent = append(r.sent, i)
-	}
-	var firstErr error
-	for _, i := range r.sent {
-		<-r.workers[i].done
-		if err := r.workers[i].err; err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
-}
-
-// runWide is the state-free driver: the dispatcher routes every arrival
-// up to the next engine-level event (cluster-scoped or gate) in one go —
-// the policy's picks cannot depend on how far the workers have gotten —
-// and each datacenter pipelines its admits and internal events
-// concurrently with the dispatch loop. Gate drops, buffering, and bounce
+// runWide routes every arrival up to the next engine-level event
+// (cluster-scoped or gate) in one go — round-robin's picks cannot depend
+// on how far the workers have gotten — and each datacenter pipelines its
+// admits and internal events concurrently with the dispatch loop. Gate drops, buffering, and bounce
 // scheduling fold into engine-owned state from here while workers observe
 // exits from their side; Share makes the collector safe and
 // order-invariant. The window bound is recomputed after every dispatch

@@ -12,7 +12,7 @@ import (
 
 // churnOutageScenario layers machine-scoped churn (a fail/recover cycle
 // and a degradation drift) on top of a whole-DC outage, so the parallel
-// drivers are exercised across every event family at once.
+// driver is exercised across every event family at once.
 func churnOutageScenario(policy scenario.Policy) *scenario.Scenario {
 	return scenario.New("churn-outage").
 		FailAt(60, 2, policy).
@@ -23,14 +23,15 @@ func churnOutageScenario(policy scenario.Policy) *scenario.Scenario {
 }
 
 // TestClusterParallelStepDeterminism is the parallel engine's contract:
-// for stateful routing (pet-aware, least-queued → barrier-per-arrival)
-// and state-free routing (round-robin → wide-window pipelining), under a
-// static fleet and under churn-with-outages, the full deterministic
-// record — per-DC decision traces, dispatch log, cluster and per-DC
-// statistics — is byte-identical to the sequential interleave at every
-// GOMAXPROCS setting. Run under -race (make race-cluster / race-stream),
-// this doubles as the data-race proof for the shared collector and the
-// worker handoffs.
+// for round-robin routing (the wide-window driver), under a static fleet
+// and under churn-with-outages, the full deterministic record — per-DC
+// decision traces, dispatch log, cluster and per-DC statistics — is
+// byte-identical to the sequential path at every GOMAXPROCS setting. Run
+// under -race (make race-cluster / race-stream), this doubles as the
+// data-race proof for the shared collector and the worker handoffs. The
+// stateful routes (pet-aware, least-queued) must be refused the parallel
+// knob; their subtests pin that and replay the sequential path at every
+// setting instead.
 func TestClusterParallelStepDeterminism(t *testing.T) {
 	matrix := clusterPET(t)
 	scenarios := []struct {
@@ -44,10 +45,11 @@ func TestClusterParallelStepDeterminism(t *testing.T) {
 	for _, route := range []string{"pet-aware", "least-queued", "round-robin"} {
 		for _, sc := range scenarios {
 			t.Run(fmt.Sprintf("%s/%s", route, sc.name), func(t *testing.T) {
+				par := parallelArm(t, route)
 				wantBlob, _, wantStats, wantPerDC := clusterTrialMode(t, matrix, "PAM", route, sc.sc, false)
 				for _, gmp := range []int{1, 4, 8} {
 					prev := runtime.GOMAXPROCS(gmp)
-					blob, _, stats, perDC := clusterTrialMode(t, matrix, "PAM", route, sc.sc, true)
+					blob, _, stats, perDC := clusterTrialMode(t, matrix, "PAM", route, sc.sc, par)
 					runtime.GOMAXPROCS(prev)
 					if string(blob) != string(wantBlob) {
 						t.Fatalf("GOMAXPROCS=%d: parallel record diverges from sequential (%d vs %d bytes)",
@@ -63,6 +65,27 @@ func TestClusterParallelStepDeterminism(t *testing.T) {
 			})
 		}
 	}
+}
+
+// parallelArm reports whether route may step its datacenters in parallel:
+// only round-robin may. For a stateful route it first checks that New
+// refuses the parallel knob, so a determinism subtest over that route
+// replays the sequential path at each GOMAXPROCS setting instead.
+func parallelArm(t *testing.T, route string) bool {
+	t.Helper()
+	if route == "round-robin" {
+		return true
+	}
+	policy, err := NewPolicy(route)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := clusterConfig(t, "PAM", clusterPET(t), 3, policy, nil)
+	cfg.Parallel = true
+	if _, err := New(cfg); err == nil {
+		t.Fatalf("%s: parallel stepping accepted for a stateful route", route)
+	}
+	return false
 }
 
 // TestParallelGateDrops pins the wide-window driver's gate-drop path: a

@@ -83,7 +83,7 @@ func dcMetric(format string, d int) string {
 // prepareSample refreshes the engine shard just before a row is recorded.
 // Reads engine-owned state only (gate buffer, health flags, GateStats);
 // deterministic given the engine's event sequence, which is identical
-// across the sequential and parallel drivers.
+// across the sequential path and the wide-window driver.
 func (e *Engine) prepareSample() {
 	p := &e.pr
 	p.gateDepth.Set(float64(len(e.buf)))

@@ -89,16 +89,18 @@ func TestTelemetryDoesNotPerturbScheduling(t *testing.T) {
 // TestClusterParallelTelemetryDeterminism extends the parallel byte-identity
 // contract to the telemetry layer: every shard's time-series rows — engine
 // gate probes and per-DC simulator probes — must be byte-identical between
-// the sequential driver and both parallel drivers (barrier for stateful
-// routes, wide-window for round-robin) at every GOMAXPROCS setting. Runs
-// under -race via make race-telemetry.
+// the sequential path and the wide-window driver (round-robin) at every
+// GOMAXPROCS setting. Stateful routes are refused the parallel knob
+// (parallelArm) and replay the sequential path. Runs under -race via make
+// race-telemetry.
 func TestClusterParallelTelemetryDeterminism(t *testing.T) {
 	for _, route := range []string{"pet-aware", "least-queued", "round-robin"} {
 		t.Run(route, func(t *testing.T) {
+			par := parallelArm(t, route)
 			_, want := telemetryTrial(t, route, false)
 			for _, gmp := range []int{1, 4, 8} {
 				prev := runtime.GOMAXPROCS(gmp)
-				_, got := telemetryTrial(t, route, true)
+				_, got := telemetryTrial(t, route, par)
 				runtime.GOMAXPROCS(prev)
 				if !bytes.Equal(got, want) {
 					t.Fatalf("GOMAXPROCS=%d: parallel telemetry rows diverge from sequential (%d vs %d bytes)",

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"sync"
 
 	"taskprune/internal/heuristics"
 	"taskprune/internal/metrics"
@@ -228,40 +227,19 @@ func AblationPETDrift(o Options) (*Figure, error) {
 		truth := estimate.Perturbed(drift, stats.NewRNG(int64(drift*1000)+7))
 		// Workloads (deadlines + true execution times) come from the
 		// drifted truth; the simulator maps with the stale estimate.
-		trials := make([]metrics.TrialStats, o.Trials)
-		errs := make([]error, o.Trials)
-		var wg sync.WaitGroup
-		sem := make(chan struct{}, o.workers())
-		for trial := 0; trial < o.Trials; trial++ {
-			wg.Add(1)
-			go func(trial int) {
-				defer wg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				rng := stats.NewRNG(o.Seed + int64(trial))
-				tasks, err := workload.Generate(wcfgBase, truth, rng)
-				if err != nil {
-					errs[trial] = err
-					return
-				}
-				sim, err := simulator.New(simulator.MustConfigFor("PAM", estimate))
-				if err != nil {
-					errs[trial] = err
-					return
-				}
-				st, err := sim.Run(tasks)
-				if err != nil {
-					errs[trial] = err
-					return
-				}
-				trials[trial] = st
-			}(trial)
-		}
-		wg.Wait()
-		for _, err := range errs {
+		trials, err := o.runTrials(func(trial int) (metrics.TrialStats, error) {
+			tasks, err := workload.Generate(wcfgBase, truth, stats.NewRNG(TrialSeed(o.Seed, trial)))
 			if err != nil {
-				return nil, fmt.Errorf("ablation drift=%.2f: %w", drift, err)
+				return metrics.TrialStats{}, err
 			}
+			sim, err := simulator.New(simulator.MustConfigFor("PAM", estimate))
+			if err != nil {
+				return metrics.TrialStats{}, err
+			}
+			return sim.Run(tasks)
+		})
+		if err != nil {
+			return nil, fmt.Errorf("ablation drift=%.2f: %w", drift, err)
 		}
 		fig.Points = append(fig.Points, NewPoint("PAM", fmt.Sprintf("drift=%.0f%%", drift*100), trials))
 	}

@@ -2,15 +2,12 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"taskprune/internal/cluster"
 	"taskprune/internal/metrics"
 	"taskprune/internal/pet"
 	"taskprune/internal/scenario"
 	"taskprune/internal/simulator"
-	"taskprune/internal/stats"
 	"taskprune/internal/workload"
 )
 
@@ -37,84 +34,33 @@ type ClusterPoint struct {
 }
 
 // RunClusterPoint is RunPoint for a sharded system: Trials independent
-// workload trials of one cluster configuration across a fixed worker
-// pool, each trial owning its engine, per-DC simulators, and source end
-// to end. Returned statistics are the cluster-level aggregates in trial
-// order; determinism per (seed, trial) holds under any worker count.
+// workload trials of one cluster configuration, each trial owning its
+// engine, per-DC simulators, policy instance, and source end to end.
+// Returned statistics are the cluster-level aggregates in trial order;
+// determinism per (seed, trial) holds under any worker count.
 func (o Options) RunClusterPoint(matrix *pet.Matrix, wcfg workload.Config, simCfg simulator.Config, cp ClusterPoint) ([]metrics.TrialStats, error) {
-	if o.Trials <= 0 {
-		return nil, fmt.Errorf("experiments: Trials must be positive, got %d", o.Trials)
-	}
-	results := make([]metrics.TrialStats, o.Trials)
-	errs := make([]error, o.Trials)
-	workers := o.workers()
-	if workers > o.Trials {
-		workers = o.Trials
-	}
-	// Per-DC stepping goroutines compose with the trial pool only when the
-	// pool leaves cores idle: each parallel trial occupies up to DCs cores,
-	// so enabling both at full trial fan-out just oversubscribes the host
-	// and slows every level down. Trial results are byte-identical with the
-	// flag on or off (the cluster determinism tests pin this), so the
-	// composition rule is free to be purely about wall-clock.
-	dcPar := o.DCParallel && workers*cp.DCs <= runtime.GOMAXPROCS(0)
-	trials := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for trial := range trials {
-				errs[trial] = o.runClusterTrial(trial, matrix, wcfg, simCfg, cp, dcPar, &results[trial])
-			}
-		}()
-	}
-	for trial := 0; trial < o.Trials; trial++ {
-		trials <- trial
-	}
-	close(trials)
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return results, nil
-}
-
-// runClusterTrial simulates one sharded trial end to end, writing the
-// cluster-level statistics into out.
-func (o Options) runClusterTrial(trial int, matrix *pet.Matrix, wcfg workload.Config, simCfg simulator.Config, cp ClusterPoint, dcPar bool, out *metrics.TrialStats) error {
 	route := cp.Route
 	if route == "" {
 		route = "round-robin"
 	}
-	policy, err := cluster.NewPolicy(route)
-	if err != nil {
-		return err
-	}
 	simCfg.Scenario = cp.Scenario
-	eng, err := cluster.New(cluster.Config{DCs: cp.DCs, Policy: policy, Parallel: dcPar, Sim: simCfg})
-	if err != nil {
-		return err
-	}
-	rng := stats.NewRNG(TrialSeed(o.Seed, trial))
 	cp.Scenario.ApplyBursts(&wcfg)
-	var src workload.Source
-	if o.Streamed {
-		src, err = workload.NewStream(wcfg, matrix, rng)
-	} else {
-		src, err = workload.NewSource(wcfg, matrix, rng)
-	}
-	if err != nil {
-		return err
-	}
-	st, _, err := eng.RunSource(src)
-	if err != nil {
-		return err
-	}
-	*out = st
-	return nil
+	return o.runTrials(func(trial int) (metrics.TrialStats, error) {
+		policy, err := cluster.NewPolicy(route)
+		if err != nil {
+			return metrics.TrialStats{}, err
+		}
+		eng, err := cluster.New(cluster.Config{DCs: cp.DCs, Policy: policy, Sim: simCfg})
+		if err != nil {
+			return metrics.TrialStats{}, err
+		}
+		src, err := o.source(trial, wcfg, matrix)
+		if err != nil {
+			return metrics.TrialStats{}, err
+		}
+		st, _, err := eng.RunSource(src)
+		return st, err
+	})
 }
 
 // clusterOutageScenario builds the canned whole-DC outage schedule for the

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"reflect"
-	"runtime"
 	"testing"
 
 	"taskprune/internal/simulator"
@@ -43,42 +42,6 @@ func TestClusterStreamedParallelDeterminism(t *testing.T) {
 		if tr.Total != o.Tasks {
 			t.Fatalf("cluster trial %d accounted %d of %d tasks", i, tr.Total, o.Tasks)
 		}
-	}
-}
-
-// TestClusterDCParallelOptionEquivalence pins Options.DCParallel as a pure
-// wall-clock knob: trial statistics are identical with the option off, with
-// it on under a worker count that admits per-DC goroutines (workers × DCs
-// within GOMAXPROCS), and with it on under a pool already saturating the
-// host — where the composition rule must quietly keep trials sequential
-// rather than oversubscribe. GOMAXPROCS is pinned so the admission
-// boundary is the same on every test host.
-func TestClusterDCParallelOptionEquivalence(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
-	matrix := SPECPET()
-	o := Options{Trials: 4, Tasks: 200, Seed: 5, Beta: 2.0, VarFrac: 0.10, Streamed: true}
-	wcfg := o.workloadConfig(workload.Level19k)
-	cp := ClusterPoint{DCs: 4, Route: "pet-aware", Scenario: clusterOutageScenario(4, 1)}
-	run := func(workers int, dcPar bool) []metricsStats {
-		o := o
-		o.Workers = workers
-		o.DCParallel = dcPar
-		trials, err := o.RunClusterPoint(matrix, wcfg, simulator.MustConfigFor("PAM", matrix), cp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out := make([]metricsStats, len(trials))
-		for i, tr := range trials {
-			out[i] = metricsStats{tr.RobustnessPct, tr.Completed, tr.Dropped, tr.Missed, tr.Total}
-		}
-		return out
-	}
-	base := run(1, false)
-	if admitted := run(1, true); !reflect.DeepEqual(base, admitted) {
-		t.Fatalf("DCParallel (admitted: 1 worker × 4 DCs on 8 procs) changed results:\n off: %v\n on:  %v", base, admitted)
-	}
-	if saturated := run(4, true); !reflect.DeepEqual(base, saturated) {
-		t.Fatalf("DCParallel (suppressed: 4 workers × 4 DCs on 8 procs) changed results:\n off: %v\n on:  %v", base, saturated)
 	}
 }
 

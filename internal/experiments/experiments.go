@@ -34,13 +34,6 @@ type Options struct {
 	Beta float64
 	// VarFrac is the arrival-gamma variance fraction (paper: 0.10).
 	VarFrac float64
-	// DCParallel lets sharded trials step their datacenters on parallel
-	// goroutines (cluster.Config.Parallel). Results are byte-identical
-	// either way, so this is purely a wall-clock knob; RunClusterPoint
-	// only honors it when the trial worker pool leaves cores idle —
-	// workers × DCs must fit in GOMAXPROCS — since oversubscribing cores
-	// with nested parallelism makes both levels slower.
-	DCParallel bool
 	// Streamed switches trials to the pure streaming arrival source
 	// (workload.NewStream): constant memory in the trial length, per-type
 	// RNG splits. Off, trials use the replay-mode source, whose workloads
@@ -114,32 +107,47 @@ func buildPETs() {
 func TrialSeed(base int64, k int) int64 { return base + int64(k) }
 
 // RunPoint executes Trials independent workload trials of one system
-// configuration across a fixed pool of worker goroutines and returns the
-// per-trial statistics in trial order.
+// configuration and returns the per-trial statistics in trial order. A
+// scenario on the simulator config also shapes the workload: its burst
+// windows apply to the arrival source.
+func (o Options) RunPoint(matrix *pet.Matrix, wcfg workload.Config, simCfg simulator.Config) ([]metrics.TrialStats, error) {
+	simCfg.Scenario.ApplyBursts(&wcfg)
+	return o.runTrials(func(trial int) (metrics.TrialStats, error) {
+		src, err := o.source(trial, wcfg, matrix)
+		if err != nil {
+			return metrics.TrialStats{}, err
+		}
+		sim, err := simulator.New(simCfg)
+		if err != nil {
+			return metrics.TrialStats{}, err
+		}
+		return sim.RunSource(src)
+	})
+}
+
+// runTrials runs trial 0..Trials-1 across a fixed pool of worker
+// goroutines and returns their statistics in trial order, or the first
+// error in trial order.
 //
 // Each worker owns its trial end to end (workload generation, a private
-// simulator, metrics collection), so trials share no mutable state; the
-// simulators' PMF arenas draw their scratch blocks from a process-wide
-// pool, which keeps the steady-state allocation rate flat no matter how
-// many trials run.
-func (o Options) RunPoint(matrix *pet.Matrix, wcfg workload.Config, simCfg simulator.Config) ([]metrics.TrialStats, error) {
+// simulator or engine, metrics collection), so trials share no mutable
+// state; the simulators' PMF arenas draw their scratch blocks from a
+// process-wide pool, which keeps the steady-state allocation rate flat no
+// matter how many trials run.
+func (o Options) runTrials(run func(trial int) (metrics.TrialStats, error)) ([]metrics.TrialStats, error) {
 	if o.Trials <= 0 {
 		return nil, fmt.Errorf("experiments: Trials must be positive, got %d", o.Trials)
 	}
 	results := make([]metrics.TrialStats, o.Trials)
 	errs := make([]error, o.Trials)
-	workers := o.workers()
-	if workers > o.Trials {
-		workers = o.Trials
-	}
 	trials := make(chan int)
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for range min(o.workers(), o.Trials) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for trial := range trials {
-				errs[trial] = o.runTrial(trial, matrix, wcfg, simCfg, &results[trial])
+				results[trial], errs[trial] = run(trial)
 			}
 		}()
 	}
@@ -156,35 +164,16 @@ func (o Options) RunPoint(matrix *pet.Matrix, wcfg workload.Config, simCfg simul
 	return results, nil
 }
 
-// runTrial simulates one trial end to end, writing its statistics into
-// out. A scenario on the simulator config also shapes the workload: its
-// burst windows apply to the arrival source. Arrivals are pulled from a
-// streaming source (replay mode by default, so results match the old
-// pre-generated slices byte for byte; pure-stream mode under Streamed), so
-// a trial's live heap holds in-flight tasks, not the whole workload.
-func (o Options) runTrial(trial int, matrix *pet.Matrix, wcfg workload.Config, simCfg simulator.Config, out *metrics.TrialStats) error {
+// source builds trial's arrival source: the replay-mode source by
+// default, whose workloads match the historical pre-generated slices byte
+// for byte, or the pure streaming source under Streamed. Either way a
+// trial's live heap holds in-flight tasks, not the whole workload.
+func (o Options) source(trial int, wcfg workload.Config, matrix *pet.Matrix) (workload.Source, error) {
 	rng := stats.NewRNG(TrialSeed(o.Seed, trial))
-	simCfg.Scenario.ApplyBursts(&wcfg)
-	var src workload.Source
-	var err error
 	if o.Streamed {
-		src, err = workload.NewStream(wcfg, matrix, rng)
-	} else {
-		src, err = workload.NewSource(wcfg, matrix, rng)
+		return workload.NewStream(wcfg, matrix, rng)
 	}
-	if err != nil {
-		return err
-	}
-	sim, err := simulator.New(simCfg)
-	if err != nil {
-		return err
-	}
-	st, err := sim.RunSource(src)
-	if err != nil {
-		return err
-	}
-	*out = st
-	return nil
+	return workload.NewSource(wcfg, matrix, rng)
 }
 
 // Point is one x-position of one series in a figure.

@@ -28,35 +28,6 @@ func benchPMFs() (tail, exec *PMF) {
 	return tail, exec
 }
 
-// TestConvolveIntoAllocFree: once the destination scratch is warm, the
-// ConvolveInto fast path must not touch the heap at all.
-func TestConvolveIntoAllocFree(t *testing.T) {
-	tail, exec := benchPMFs()
-	dst := &PMF{}
-	ConvolveInto(dst, tail, exec) // warm the scratch buffer
-	if n := testing.AllocsPerRun(100, func() {
-		ConvolveInto(dst, tail, exec)
-	}); n != 0 {
-		t.Errorf("ConvolveInto allocates %.1f objects per call, want 0", n)
-	}
-}
-
-// TestConvolveDropIntoAllocFree: same guarantee for the dropping-aware
-// scratch convolution, in both dropping modes.
-func TestConvolveDropIntoAllocFree(t *testing.T) {
-	tail, exec := benchPMFs()
-	deadline := tail.Start() + 150
-	for _, mode := range []DropMode{PendingDrop, Evict} {
-		dst := &PMF{}
-		ConvolveDropInto(dst, tail, exec, deadline, mode)
-		if n := testing.AllocsPerRun(100, func() {
-			ConvolveDropInto(dst, tail, exec, deadline, mode)
-		}); n != 0 {
-			t.Errorf("%v: ConvolveDropInto allocates %.1f objects per call, want 0", mode, n)
-		}
-	}
-}
-
 // TestArenaConvolveDropAllocFree: the arena path — one ConvolveDrop +
 // Compact cycle per Reset, the shape of a mapping-event commit — must be
 // allocation-free once the arena holds its block.
@@ -93,46 +64,12 @@ func TestCloneDeepCopiesSparseIndex(t *testing.T) {
 	}
 }
 
-// TestConvolveIntoMatchesConvolve: the scratch path must agree with the
-// allocating path impulse for impulse.
-func TestConvolveIntoMatchesConvolve(t *testing.T) {
-	tail, exec := benchPMFs()
-	want := Convolve(tail, exec)
-	dst := &PMF{}
-	ConvolveInto(dst, tail, exec)
-	if !ApproxEqual(want, dst, 0) {
-		t.Fatalf("ConvolveInto disagrees with Convolve:\nwant %v\ngot  %v", want, dst)
-	}
-	for _, mode := range []DropMode{NoDrop, PendingDrop, Evict} {
-		deadline := tail.Start() + 150
-		res := ConvolveDrop(tail, exec, deadline, mode)
-		d2 := &PMF{}
-		success := ConvolveDropInto(d2, tail, exec, deadline, mode)
-		if success != res.Success {
-			t.Fatalf("%v: success %v != %v", mode, success, res.Success)
-		}
-		if !ApproxEqual(res.Free, d2, 0) {
-			t.Fatalf("%v: ConvolveDropInto free PMF disagrees", mode)
-		}
-	}
-}
-
 // BenchmarkConvolve measures the allocating baseline convolution.
 func BenchmarkConvolve(b *testing.B) {
 	tail, exec := benchPMFs()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		Convolve(tail, exec)
-	}
-}
-
-// BenchmarkConvolveInto measures the zero-allocation scratch convolution.
-func BenchmarkConvolveInto(b *testing.B) {
-	tail, exec := benchPMFs()
-	dst := &PMF{}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		ConvolveInto(dst, tail, exec)
 	}
 }
 
@@ -143,17 +80,6 @@ func BenchmarkConvolveDrop(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		ConvolveDrop(tail, exec, deadline, Evict)
-	}
-}
-
-// BenchmarkConvolveDropInto measures the zero-allocation scratch variant.
-func BenchmarkConvolveDropInto(b *testing.B) {
-	tail, exec := benchPMFs()
-	deadline := tail.Start() + 150
-	dst := &PMF{}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		ConvolveDropInto(dst, tail, exec, deadline, Evict)
 	}
 }
 

@@ -124,20 +124,6 @@ func (a *Arena) Convolve(prev, exec *PMF) *PMF {
 	return a.wrap(prev.start+exec.start, out)
 }
 
-// ConvolveInto computes Convolve(prev, exec) into dst, reusing dst's
-// backing storage when its capacity suffices — the steady state allocates
-// nothing (asserted by TestConvolveIntoAllocFree). dst must not alias prev
-// or exec.
-func ConvolveInto(dst, prev, exec *PMF) {
-	if prev.IsZero() || exec.IsZero() {
-		dst.adopt(0, dst.probs[:0])
-		return
-	}
-	buf := dst.scratch(len(prev.probs) + len(exec.probs) - 1)
-	convolveCore(buf, prev, exec)
-	dst.adopt(prev.start+exec.start, buf)
-}
-
 // Result carries the outcome of a dropping-aware convolution. Free is the
 // distribution of the time at which the machine becomes free of the task
 // (by completion, by eviction at the deadline, or — when the task never
@@ -178,8 +164,8 @@ func dropBounds(prev, exec *PMF, deadline int64) (outLo, outHi int64) {
 
 // convolveDropCore runs the PendingDrop/Evict convolution into buf (zeroed,
 // spanning [outLo, outHi] per dropBounds) and returns the success
-// probability. It is the single implementation behind ConvolveDrop,
-// ConvolveDropInto, and the arena variant.
+// probability. It is the single implementation behind ConvolveDrop and
+// its arena form.
 func convolveDropCore(buf []float64, outLo int64, prev, exec *PMF, deadline int64, mode DropMode) float64 {
 	// Predecessor slots split at the deadline: indices below cut start the
 	// task (they convolve with exec), indices at or above carry through
@@ -301,43 +287,4 @@ func (a *Arena) ConvolveDrop(prev, exec *PMF, deadline int64, mode DropMode) Res
 	buf := a.Floats(int(outHi - outLo + 1))
 	success := convolveDropCore(buf, outLo, prev, exec, deadline, mode)
 	return Result{Free: a.wrap(outLo, buf), Success: success}
-}
-
-// ConvolveDropInto is ConvolveDrop writing the Free distribution into dst
-// (caller-owned scratch, reused across calls — zero heap allocations in the
-// steady state) and returning the success probability. dst must not alias
-// prev or exec.
-func ConvolveDropInto(dst *PMF, prev, exec *PMF, deadline int64, mode DropMode) float64 {
-	if mode == NoDrop {
-		ConvolveInto(dst, prev, exec)
-		return dst.SuccessProb(deadline)
-	}
-	if prev.IsZero() || exec.IsZero() {
-		dst.adopt(0, dst.probs[:0])
-		return 0
-	}
-	outLo, outHi := dropBounds(prev, exec, deadline)
-	buf := dst.scratch(int(outHi - outLo + 1))
-	success := convolveDropCore(buf, outLo, prev, exec, deadline, mode)
-	dst.adopt(outLo, buf)
-	return success
-}
-
-// ChainCompletion computes the completion Result for a whole FCFS queue:
-// base is the machine-availability PMF ahead of the queue; entries are
-// (exec PMF, deadline) pairs in queue order. It returns the per-entry
-// results, where entry k's Free feeds entry k+1. This mirrors how the
-// mapper evaluates the robustness of each task in a (virtual) machine
-// queue.
-func ChainCompletion(base *PMF, execs []*PMF, deadlines []int64, mode DropMode) []Result {
-	if len(execs) != len(deadlines) {
-		panic("pmf: ChainCompletion length mismatch")
-	}
-	out := make([]Result, len(execs))
-	prev := base
-	for i := range execs {
-		out[i] = ConvolveDrop(prev, execs[i], deadlines[i], mode)
-		prev = out[i].Free
-	}
-	return out
 }

@@ -273,19 +273,20 @@ func TestEvictFreeDominatesPending(t *testing.T) {
 	}
 }
 
+// TestChainCompletion walks a three-task FCFS queue the way the mapper
+// evaluates one: each entry's Free feeds the next entry's ConvolveDrop.
 func TestChainCompletion(t *testing.T) {
-	base := Impulse(0)
-	execs := []*PMF{execPMF(), execPMF(), execPMF()}
-	deadlines := []int64{4, 6, 8}
-	results := ChainCompletion(base, execs, deadlines, PendingDrop)
-	if len(results) != 3 {
-		t.Fatalf("got %d results, want 3", len(results))
+	prev := Impulse(0)
+	var results []Result
+	for _, deadline := range []int64{4, 6, 8} {
+		res := ConvolveDrop(prev, execPMF(), deadline, PendingDrop)
+		results = append(results, res)
+		prev = res.Free
 	}
 	// First task starts at 0: completes at 1..3, all before deadline 4.
 	if !almostEqual(results[0].Success, 1, tol) {
 		t.Errorf("first success = %v, want 1", results[0].Success)
 	}
-	// Success must not increase down the chain with equal slack growth.
 	for i := range results {
 		if results[i].Success < 0 || results[i].Success > 1 {
 			t.Errorf("chain success[%d] = %v out of range", i, results[i].Success)
@@ -294,15 +295,6 @@ func TestChainCompletion(t *testing.T) {
 			t.Errorf("chain Free[%d] mass = %v, want 1", i, results[i].Free.Mass())
 		}
 	}
-}
-
-func TestChainCompletionLengthMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("length mismatch did not panic")
-		}
-	}()
-	ChainCompletion(Impulse(0), []*PMF{execPMF()}, nil, NoDrop)
 }
 
 func TestDropModeString(t *testing.T) {

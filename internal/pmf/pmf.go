@@ -72,34 +72,6 @@ func Impulse(t int64) *PMF {
 	return &PMF{start: t, probs: []float64{1}}
 }
 
-// scratch returns a zeroed length-n slice reusing p's backing storage when
-// its capacity suffices, growing (one allocation) otherwise. It is the
-// storage half of the ConvolveInto/ConvolveDropInto scratch API.
-func (p *PMF) scratch(n int) []float64 {
-	buf := p.probs[:0]
-	if cap(buf) < n {
-		return make([]float64, n)
-	}
-	buf = buf[:n]
-	clear(buf)
-	return buf
-}
-
-// adopt points p at probs (taking ownership), trimming trailing zeros.
-// Leading zeros are kept deliberately: a PMF may start at a zero slot
-// (Start documents this), and re-slicing the front would surrender the
-// prefix of the backing array — scratch could then never reuse it and the
-// Into fast paths would allocate on every call.
-func (p *PMF) adopt(start int64, probs []float64) {
-	hi := len(probs)
-	for hi > 0 && probs[hi-1] == 0 {
-		hi--
-	}
-	p.start = start
-	p.probs = probs[:hi]
-	p.nz = nil
-}
-
 // FromSamples bins real-valued samples into nbins histogram bins and
 // converts the result into a PMF whose impulses sit at the rounded bin
 // centers (minimum tick 1: an execution can never take zero time). This is

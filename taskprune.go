@@ -40,10 +40,9 @@
 //     commit convolutions — and reclaims them wholesale when the event
 //     ends. Arena-backed PMFs are scratch: code inside the engine must
 //     never retain one across an event boundary without copying it first
-//     (pmf.PMF.CopyFrom exists for exactly that). The pmf package also
-//     exposes caller-owned scratch variants (ConvolveInto,
-//     ConvolveDropInto) whose zero-allocation steady state is pinned by
-//     testing.AllocsPerRun guards.
+//     (pmf.PMF.CopyFrom exists for exactly that). The arena's
+//     zero-allocation steady state is pinned by a testing.AllocsPerRun
+//     guard.
 //
 //   - Phase-one mapping evaluations are cached per (task, machine) and
 //     keyed by a per-machine tail stamp: committing an assignment bumps
