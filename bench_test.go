@@ -306,10 +306,10 @@ func BenchmarkClusterTrialRR(b *testing.B) {
 // BenchmarkClusterTrialRRParallel exercises the wide-window driver (the
 // -dcpar path, round-robin only): round-robin's picks read no queue
 // state, so the engine routes whole inter-cluster-event windows into the
-// per-DC worker queues and barriers only at cluster events. On a 2-vCPU
-// host it ran about 1.8× faster than BenchmarkClusterTrialRR; the
-// PET-aware barrier-per-arrival driver that never beat sequential was
-// deleted.
+// per-DC worker queues and barriers only at cluster events. It is the
+// measurement that keeps the driver: on a 2-vCPU host at -cpu 2 it ran
+// about 1.7–1.8× faster than BenchmarkClusterTrialRR (no faster at
+// -cpu 1).
 func BenchmarkClusterTrialRRParallel(b *testing.B) {
 	benchClusterTrial(b, "round-robin", true)
 }

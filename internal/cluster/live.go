@@ -29,9 +29,9 @@ import (
 // far-future scenario events (a dc-fail at tick 10⁶) must wait for the
 // clock to be pulled forward by real submissions, and gate-buffered tasks
 // legitimately wait for a recovery event with nothing else pending.
-// Submitting a workload task by task is therefore byte-equivalent to
-// RunSource over the same tasks up to the drain (the equivalence test
-// pins this).
+// Submitting a workload task by task and finishing therefore reproduces
+// RunSource over the same tasks byte for byte whenever no event is
+// scheduled past the last exit (the equivalence test pins this).
 //
 // Like RunSource, live driving is single-goroutine: the daemon's pump owns
 // the engine, and HTTP handlers see only published snapshots.

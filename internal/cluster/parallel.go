@@ -41,14 +41,14 @@ import (
 // the wide-window driver; a full channel backpressures the dispatcher.
 const wideWindowBuffer = 128
 
-// dcWork is one unit handed to a datacenter worker: optionally admit one
-// task at its arrival tick (internal events strictly before that tick are
-// processed first), then burn internal events strictly below horizon.
-// Events at exactly horizon stay pending — the next sync point wins ties.
+// dcWork is one unit handed to a datacenter worker: admit one task at its
+// arrival tick (internal events strictly before that tick are processed
+// first), or, with admit nil, a barrier — burn internal events strictly
+// below horizon and reply on done. Events at exactly horizon stay
+// pending: the engine-level event there wins ties.
 type dcWork struct {
 	admit   *task.Task
 	horizon int64
-	ack     bool // reply on done once handled (a barrier edge)
 }
 
 // dcWorker owns one datacenter's goroutine for the lifetime of a parallel
@@ -66,15 +66,15 @@ type dcWorker struct {
 func (w *dcWorker) loop(wg *sync.WaitGroup) {
 	defer wg.Done()
 	for m := range w.work {
-		if w.err == nil && m.admit != nil {
+		switch {
+		case m.admit == nil:
+			if w.err == nil {
+				w.dc.sim.StepUntil(m.horizon)
+			}
+			w.done <- struct{}{}
+		case w.err == nil:
 			w.dc.sim.StepUntil(m.admit.Arrival)
 			w.err = w.dc.sim.Admit(m.admit)
-		}
-		if w.err == nil {
-			w.dc.sim.StepUntil(m.horizon)
-		}
-		if m.ack {
-			w.done <- struct{}{}
 		}
 	}
 }
@@ -162,7 +162,7 @@ func (r *parallelRunner) runWide(src workload.Source) error {
 				return rerr
 			}
 			if admit {
-				r.workers[d].work <- dcWork{admit: t, horizon: t.Arrival}
+				r.workers[d].work <- dcWork{admit: t}
 			}
 			if next, hasNext, err = e.pull(src); err != nil {
 				return err
@@ -203,7 +203,7 @@ func (r *parallelRunner) runWide(src workload.Source) error {
 // access to all simulator state (failover draining, finalization).
 func (r *parallelRunner) barrierAll(horizon int64) error {
 	for _, w := range r.workers {
-		w.work <- dcWork{horizon: horizon, ack: true}
+		w.work <- dcWork{horizon: horizon}
 	}
 	var firstErr error
 	for _, w := range r.workers {
