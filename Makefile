@@ -71,16 +71,18 @@ cover:
 	done
 
 # Golden determinism: the committed decision traces (single-fleet and
-# 3-DC cluster) and every experiment's rendered tables (cmd/hcsim's
-# testdata/repro) must replay byte for byte, twice, so flaky
-# nondeterminism cannot hide behind test caching.
+# 3-DC cluster), every experiment's rendered tables (cmd/hcsim's
+# testdata/repro) and the runnable examples' output (examples/*/testdata)
+# must replay byte for byte, twice, so flaky nondeterminism cannot hide
+# behind test caching.
 golden:
-	$(GO) test -run Golden -count=2 ./internal/simulator/ ./internal/cluster/ ./cmd/hcsim/
+	$(GO) test -run Golden -count=2 ./internal/simulator/ ./internal/cluster/ ./cmd/hcsim/ ./examples/...
 
-# Regenerate the golden traces and tables after an intentional behavior
-# change; review the diff like any other scheduling change.
+# Regenerate the golden traces, tables and example outputs after an
+# intentional behavior change; review the diff like any other scheduling
+# change.
 golden-update:
-	$(GO) test -run Golden ./internal/simulator/ ./internal/cluster/ ./cmd/hcsim/ -update
+	$(GO) test -run Golden ./internal/simulator/ ./internal/cluster/ ./cmd/hcsim/ ./examples/... -update
 
 # Allocation-regression tripwire: every benchmark in the committed
 # baseline must stay within 2x of its recorded allocs/op and B/op.

@@ -14,7 +14,10 @@ package taskprune
 import (
 	"testing"
 
+	"taskprune/internal/cluster"
 	"taskprune/internal/experiments"
+	"taskprune/internal/telemetry"
+	"taskprune/internal/workload"
 )
 
 // benchOptions keeps a single bench iteration around a second or two on one
@@ -26,7 +29,7 @@ func benchOptions() experiments.Options {
 	return o
 }
 
-func reportFigure(b *testing.B, fig *Figure) {
+func reportFigure(b *testing.B, fig *experiments.Figure) {
 	b.Helper()
 	for _, p := range fig.Points {
 		b.ReportMetric(p.Robustness.Mean, p.Series+"@"+p.Label+"_rob%")
@@ -73,7 +76,7 @@ func BenchmarkFig6Fairness(b *testing.B) {
 // and 34k) and reports the robustness means it observed.
 func BenchmarkFig7Robustness(b *testing.B) {
 	o := benchOptions()
-	var last *Figure
+	var last *experiments.Figure
 	for i := 0; i < b.N; i++ {
 		fig, err := experiments.Fig7(o)
 		if err != nil {
@@ -87,7 +90,7 @@ func BenchmarkFig7Robustness(b *testing.B) {
 // BenchmarkFig8Cost regenerates Figure 8 (cost per robustness point).
 func BenchmarkFig8Cost(b *testing.B) {
 	o := benchOptions()
-	var last *Figure
+	var last *experiments.Figure
 	for i := 0; i < b.N; i++ {
 		fig, err := experiments.Fig8(o)
 		if err != nil {
@@ -103,7 +106,7 @@ func BenchmarkFig8Cost(b *testing.B) {
 // BenchmarkFig9Video regenerates Figure 9 (video transcoding, PAMF vs MM).
 func BenchmarkFig9Video(b *testing.B) {
 	o := benchOptions()
-	var last *Figure
+	var last *experiments.Figure
 	for i := 0; i < b.N; i++ {
 		fig, err := experiments.Fig9(o)
 		if err != nil {
@@ -172,8 +175,8 @@ func BenchmarkSingleTrialPAM(b *testing.B) {
 func BenchmarkSingleTrialPAMTelemetry(b *testing.B) {
 	matrix := SPECPET()
 	cfg := MustConfigFor("PAM", matrix)
-	cfg.Telemetry = &TelemetryOptions{SampleEvery: 100}
-	cfg.PhaseTimer = NewPhaseTimer()
+	cfg.Telemetry = &telemetry.Options{SampleEvery: 100}
+	cfg.PhaseTimer = telemetry.NewPhaseTimer()
 	for i := 0; i < b.N; i++ {
 		tasks := MustGenerateWorkload(WorkloadConfig{
 			NumTasks: 800, Rate: RateForLevel(Level34k), VarFrac: 0.10, Beta: 2.0,
@@ -196,10 +199,10 @@ func BenchmarkSingleTrialPAMTelemetry(b *testing.B) {
 func BenchmarkSingleTrialChurn(b *testing.B) {
 	matrix := SPECPET()
 	cfg := MustConfigFor("PAM", matrix)
-	cfg.Scenario = FaultScenario()
+	cfg.Scenario = experiments.FaultScenario()
 	for i := 0; i < b.N; i++ {
 		wcfg := WorkloadConfig{
-			NumTasks: 800, Rate: RateForLevel(Level19k), VarFrac: 0.10, Beta: 2.0,
+			NumTasks: 800, Rate: RateForLevel(workload.Level19k), VarFrac: 0.10, Beta: 2.0,
 		}
 		cfg.Scenario.ApplyBursts(&wcfg)
 		tasks := MustGenerateWorkload(wcfg, matrix, NewRNG(int64(i)))
@@ -225,7 +228,7 @@ func BenchmarkStreamTrialPAM1M(b *testing.B) {
 	matrix := SPECPET()
 	cfg := MustConfigFor("PAM", matrix)
 	for i := 0; i < b.N; i++ {
-		src, err := NewWorkloadStream(WorkloadConfig{
+		src, err := workload.NewStream(WorkloadConfig{
 			NumTasks: numTasks, Rate: RateForLevel(Level34k), VarFrac: 0.10, Beta: 2.0,
 		}, matrix, NewRNG(int64(i)))
 		if err != nil {
@@ -260,18 +263,18 @@ func benchClusterTrial(b *testing.B, route string, parallel bool) {
 		tasks := MustGenerateWorkload(WorkloadConfig{
 			NumTasks: 800, Rate: RateForLevel(Level34k), VarFrac: 0.10, Beta: 2.0,
 		}, matrix, NewRNG(int64(i)))
-		policy, err := NewDispatchPolicy(route)
+		policy, err := cluster.NewPolicy(route)
 		if err != nil {
 			b.Fatal(err)
 		}
-		eng, err := NewCluster(ClusterConfig{
+		eng, err := cluster.New(cluster.Config{
 			DCs: 4, Policy: policy, Parallel: parallel,
 			Sim: MustConfigFor("PAM", matrix),
 		})
 		if err != nil {
 			b.Fatal(err)
 		}
-		src := WorkloadFromTasks(tasks)
+		src := workload.FromTasks(tasks)
 		b.StartTimer()
 		st, _, err := eng.RunSource(src)
 		if err != nil {

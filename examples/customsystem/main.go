@@ -12,12 +12,22 @@ package main
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"taskprune"
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run profiles, persists, replays and schedules the custom system, writing
+// a summary of each step to w.
+func run(w io.Writer) error {
 	// Your measured mean execution times (ticks ≈ ms): rows are task
 	// types, columns machines. Note the inconsistent heterogeneity —
 	// machine 2 wins type 2 but loses type 0.
@@ -28,21 +38,22 @@ func main() {
 	}
 	matrix, err := taskprune.BuildPET(means, taskprune.DefaultPETBuildConfig(), taskprune.NewRNG(1))
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// Persist the profile and load it back — this is what an offline
 	// profiling job hands to the online scheduler.
 	var petBlob bytes.Buffer
 	if err := matrix.WriteJSON(&petBlob); err != nil {
-		log.Fatal(err)
+		return err
 	}
+	written := petBlob.Len() // reading the profile back drains the buffer
 	loaded, err := taskprune.ReadPETJSON(&petBlob)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("PET profile: %d task types × %d machines, %d bytes serialized\n",
-		loaded.NumTypes(), loaded.NumMachines(), petBlob.Cap())
+	fmt.Fprintf(w, "PET profile: %d task types × %d machines, %d bytes serialized\n",
+		loaded.NumTypes(), loaded.NumMachines(), written)
 
 	// Generate a workload at ~2× capacity, round-trip it through the CSV
 	// trace format (so an externally captured trace plugs in identically).
@@ -52,11 +63,11 @@ func main() {
 	}, loaded, taskprune.NewRNG(2))
 	var traceBlob bytes.Buffer
 	if err := taskprune.WriteWorkloadCSV(&traceBlob, tasks); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	replayed, err := taskprune.ReadWorkloadCSV(&traceBlob, loaded.NumMachines())
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// Run PAM with decision tracing on.
@@ -65,13 +76,14 @@ func main() {
 	cfg.Trace = rec
 	sim, err := taskprune.NewSimulator(cfg)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	st, err := sim.Run(replayed)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("PAM on the replayed trace: robustness %.1f%% (%d/%d on time)\n",
+	fmt.Fprintf(w, "PAM on the replayed trace: robustness %.1f%% (%d/%d on time)\n",
 		st.RobustnessPct, st.Completed, st.Window)
-	fmt.Printf("decision stream: %d events recorded\n", rec.Len())
+	fmt.Fprintf(w, "decision stream: %d events recorded\n", rec.Len())
+	return nil
 }

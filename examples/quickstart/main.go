@@ -9,12 +9,22 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"taskprune"
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run simulates the trial under both heuristics and writes the comparison
+// to w.
+func run(w io.Writer) error {
 	// The evaluation PET matrix: 12 task types × 8 inconsistently
 	// heterogeneous machines, profiled from gamma-sampled histograms.
 	matrix := taskprune.SPECPET()
@@ -40,15 +50,16 @@ func main() {
 		cfg := taskprune.MustConfigFor(name, matrix)
 		sim, err := taskprune.NewSimulator(cfg)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		stats, err := sim.Run(tasks)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		fmt.Printf("%-4s robustness %5.1f%%  (on-time %d, dropped %d, missed %d of %d analyzed)\n",
+		fmt.Fprintf(w, "%-4s robustness %5.1f%%  (on-time %d, dropped %d, missed %d of %d analyzed)\n",
 			name, stats.RobustnessPct, stats.Completed, stats.Dropped, stats.Missed, stats.Window)
 	}
-	fmt.Println("\nPAM's probabilistic pruning defers unlikely-to-succeed tasks and drops")
-	fmt.Println("doomed ones, so machines spend their time on tasks that can still win.")
+	fmt.Fprintln(w, "\nPAM's probabilistic pruning defers unlikely-to-succeed tasks and drops")
+	fmt.Fprintln(w, "doomed ones, so machines spend their time on tasks that can still win.")
+	return nil
 }

@@ -575,9 +575,6 @@ func (e *Engine) record(d Dispatch) {
 // DCList exposes the datacenters (inspection, tests, reporting).
 func (e *Engine) DCList() []*DC { return e.dcs }
 
-// Dispatches returns the routing log (empty unless Config.RecordDispatch).
-func (e *Engine) Dispatches() []Dispatch { return e.dispatches }
-
 // GateDrops returns how many tasks were dropped at the gate because no
 // datacenter was believed healthy (and no gate buffer could hold them).
 func (e *Engine) GateDrops() int { return e.gateStats.Dropped }

@@ -13,6 +13,9 @@ import (
 	"taskprune/internal/workload"
 )
 
+// Dispatches returns the routing log (empty unless Config.RecordDispatch).
+func (e *Engine) Dispatches() []Dispatch { return e.dispatches }
+
 // clusterPET builds the 3×6 test matrix shared by the cluster tests: six
 // machines so three datacenters get two each, with per-type affinities so
 // routing decisions actually matter.

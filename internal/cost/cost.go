@@ -36,16 +36,6 @@ func VideoMachinePrices() []float64 {
 	return []float64{0.170, 0.266, 0.192, 0.900}
 }
 
-// Uniform returns n machines priced identically (used by tests and
-// ablations to isolate robustness effects from price effects).
-func Uniform(n int, price float64) []float64 {
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = price
-	}
-	return out
-}
-
 // Total bills a set of per-machine busy tick counts at the given prices.
 func Total(busyTicks []int64, prices []float64) float64 {
 	if len(busyTicks) != len(prices) {

@@ -42,18 +42,6 @@ func TestVideoMachinePrices(t *testing.T) {
 	}
 }
 
-func TestUniform(t *testing.T) {
-	u := Uniform(5, 0.25)
-	if len(u) != 5 {
-		t.Fatalf("len = %d", len(u))
-	}
-	for _, p := range u {
-		if p != 0.25 {
-			t.Errorf("price = %v, want 0.25", p)
-		}
-	}
-}
-
 func TestTotal(t *testing.T) {
 	busy := []int64{TicksPerHour, TicksPerHour / 2}
 	prices := []float64{1.0, 2.0}

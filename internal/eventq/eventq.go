@@ -8,10 +8,8 @@ package eventq
 type Kind int
 
 const (
-	// Arrival: a task enters the batch queue.
-	Arrival Kind = iota
 	// Completion: a machine finishes its executing task.
-	Completion
+	Completion Kind = iota
 	// Fleet: a scenario-scheduled fleet change (machine failure, recovery,
 	// or degradation) fires. TaskID carries the index of the scenario event
 	// so the simulator can look up the full action.
@@ -22,7 +20,7 @@ const (
 type Event struct {
 	Tick    int64
 	Kind    Kind
-	TaskID  int // Arrival: task ID; Fleet: scenario event index
+	TaskID  int // Completion: task ID; Fleet: scenario event index
 	Machine int // valid for Completion
 	seq     uint64
 }

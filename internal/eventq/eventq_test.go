@@ -22,8 +22,8 @@ func TestEmptyQueue(t *testing.T) {
 func TestPopOrder(t *testing.T) {
 	var q Queue
 	q.Push(Event{Tick: 30, Kind: Completion, Machine: 1})
-	q.Push(Event{Tick: 10, Kind: Arrival, TaskID: 5})
-	q.Push(Event{Tick: 20, Kind: Arrival, TaskID: 6})
+	q.Push(Event{Tick: 10, Kind: Fleet, TaskID: 5})
+	q.Push(Event{Tick: 20, Kind: Fleet, TaskID: 6})
 	var ticks []int64
 	for {
 		e, ok := q.Pop()
@@ -43,7 +43,7 @@ func TestPopOrder(t *testing.T) {
 func TestTieBreaksByInsertionOrder(t *testing.T) {
 	var q Queue
 	for i := 0; i < 10; i++ {
-		q.Push(Event{Tick: 5, Kind: Arrival, TaskID: i})
+		q.Push(Event{Tick: 5, Kind: Completion, TaskID: i})
 	}
 	for i := 0; i < 10; i++ {
 		e, ok := q.Pop()

@@ -17,7 +17,7 @@ func TestPropertyRandomInterleavings(t *testing.T) {
 		seq  int
 		ev   Event
 	}
-	kinds := []Kind{Arrival, Completion, Fleet}
+	kinds := []Kind{Completion, Fleet}
 	for trial := 0; trial < 200; trial++ {
 		rng := rand.New(rand.NewSource(int64(trial)))
 		var q Queue

@@ -46,13 +46,6 @@ func DefaultOptions() Options {
 	return Options{Trials: 30, Tasks: 800, Seed: 1, Workers: 0, Beta: 2.0, VarFrac: 0.10}
 }
 
-// QuickOptions is a reduced-scale profile for smoke tests and benchmarks.
-func QuickOptions() Options {
-	o := DefaultOptions()
-	o.Trials = 5
-	return o
-}
-
 func (o Options) workers() int {
 	if o.Workers > 0 {
 		return o.Workers
@@ -248,15 +241,4 @@ func (f *Figure) RobustnessChart() *report.Chart {
 		c.AddWithError(p.Series+" @"+p.Label, p.Robustness.Mean, p.Robustness.HalfSpan)
 	}
 	return c
-}
-
-// FindPoint returns the first point with the given series and label, for
-// tests and cross-experiment assertions.
-func (f *Figure) FindPoint(series, label string) (Point, bool) {
-	for _, p := range f.Points {
-		if p.Series == series && p.Label == label {
-			return p, true
-		}
-	}
-	return Point{}, false
 }

@@ -16,6 +16,16 @@ func tinyOptions() Options {
 	return o
 }
 
+// FindPoint returns the first point with the given series and label.
+func (f *Figure) FindPoint(series, label string) (Point, bool) {
+	for _, p := range f.Points {
+		if p.Series == series && p.Label == label {
+			return p, true
+		}
+	}
+	return Point{}, false
+}
+
 func TestSharedPETs(t *testing.T) {
 	spec := SPECPET()
 	if spec.NumTypes() != 12 || spec.NumMachines() != 8 {
@@ -76,56 +86,6 @@ func TestRunPointValidation(t *testing.T) {
 	_, err := o.RunPoint(SPECPET(), o.workloadConfig(workload.Level19k), simulator.MustConfigFor("MM", SPECPET()))
 	if err == nil {
 		t.Error("zero trials accepted")
-	}
-}
-
-func TestFig7Smoke(t *testing.T) {
-	fig, err := Fig7(tinyOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fig.Points) != 12 { // 6 heuristics × 2 levels
-		t.Fatalf("points = %d, want 12", len(fig.Points))
-	}
-	for _, p := range fig.Points {
-		if p.Robustness.Mean < 0 || p.Robustness.Mean > 100 {
-			t.Errorf("%s@%s robustness %v out of range", p.Series, p.Label, p.Robustness.Mean)
-		}
-	}
-	if _, ok := fig.FindPoint("PAM", "34k"); !ok {
-		t.Error("PAM@34k point missing")
-	}
-	tbl := fig.RobustnessTable().String()
-	if !strings.Contains(tbl, "PAM") || !strings.Contains(tbl, "±") {
-		t.Errorf("table rendering incomplete:\n%s", tbl)
-	}
-}
-
-func TestFig9Smoke(t *testing.T) {
-	fig, err := Fig9(tinyOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fig.Points) != 8 { // 2 heuristics × 4 levels
-		t.Fatalf("points = %d, want 8", len(fig.Points))
-	}
-	if _, ok := fig.FindPoint("PAMF", "12.5k"); !ok {
-		t.Error("PAMF@12.5k point missing")
-	}
-}
-
-func TestFig6Smoke(t *testing.T) {
-	o := tinyOptions()
-	fig, err := Fig6(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fig.Points) != 12 { // 6 factors × 2 levels
-		t.Fatalf("points = %d, want 12", len(fig.Points))
-	}
-	tbl := fig.FairnessTable().String()
-	if !strings.Contains(tbl, "ϑ=5%") {
-		t.Errorf("fairness table missing factor label:\n%s", tbl)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"taskprune/internal/cost"
-	"taskprune/internal/metrics"
 	"taskprune/internal/pet"
 	"taskprune/internal/simulator"
 	"taskprune/internal/workload"
@@ -156,17 +155,4 @@ func heuristicComparison(o Options, name, caption string, matrix *pet.Matrix, na
 		}
 	}
 	return fig, nil
-}
-
-// MeanRobustness averages a point's trial robustness (convenience for
-// tests).
-func MeanRobustness(trials []metrics.TrialStats) float64 {
-	if len(trials) == 0 {
-		return 0
-	}
-	var s float64
-	for _, t := range trials {
-		s += t.RobustnessPct
-	}
-	return s / float64(len(trials))
 }

@@ -50,51 +50,26 @@ func (h MOC) Map(ctx *Context, batch []*task.Task) Result {
 	remaining := st.cache.takeRemaining(batch)
 	defer func() { st.cache.putRemaining(remaining) }()
 	for totalFreeSlots(ctx.Machines) > 0 && len(remaining) > 0 {
-		// Phase 1: best machine per task by robustness.
-		pairs := st.cache.mpairs[:0]
-		for i, t := range remaining {
-			mi, ev, ok := st.bestByRobustness(ctx, t, math.Inf(-1))
-			if !ok {
-				break
-			}
-			pairs = append(pairs, mocPair{taskIdx: i, machine: mi, ev: ev})
-		}
-		st.cache.mpairs = pairs[:0]
-		if len(pairs) == 0 {
-			break
-		}
-		// Culling phase: pairs below the robustness threshold are dropped
+		// Phase 1: best machine per task by robustness, culling as it goes:
+		// a task whose best robustness lies below the threshold is dropped
 		// from the system entirely — the paper's MOC maps or drops every
 		// batch task ("until all tasks in the batch queue are mapped or
-		// dropped").
-		kept := pairs[:0]
-		for _, p := range pairs {
-			if p.ev.success >= h.Threshold {
-				kept = append(kept, p)
-			} else {
-				out.Culled = append(out.Culled, remaining[p.taskIdx])
+		// dropped"). A kept task's pair indexes the kept task list.
+		// bestByRobustness cannot report "no free slot" here: the round
+		// runs only while one exists.
+		kept := remaining[:0]
+		pairs := st.cache.mpairs[:0]
+		for _, t := range remaining {
+			mi, ev, _ := st.bestByRobustness(ctx, t, math.Inf(-1))
+			if ev.success < h.Threshold {
+				out.Culled = append(out.Culled, t)
+				continue
 			}
+			pairs = append(pairs, mocPair{taskIdx: len(kept), machine: mi, ev: ev})
+			kept = append(kept, t)
 		}
-		if len(out.Culled) > 0 {
-			culledSet := make(map[*task.Task]bool, len(out.Culled))
-			for _, tk := range out.Culled {
-				culledSet[tk] = true
-			}
-			// Rebuild remaining and re-index surviving pairs.
-			idx := make(map[*task.Task]int, len(remaining))
-			var next []*task.Task
-			for _, tk := range remaining {
-				if !culledSet[tk] {
-					idx[tk] = len(next)
-					next = append(next, tk)
-				}
-			}
-			for i := range kept {
-				kept[i].taskIdx = idx[remaining[kept[i].taskIdx]]
-			}
-			remaining = next
-		}
-		pairs = kept
+		remaining = kept
+		st.cache.mpairs = pairs[:0]
 		if len(pairs) == 0 {
 			break
 		}

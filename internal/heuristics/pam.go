@@ -97,18 +97,15 @@ func pruningMap(ctx *Context, batch []*task.Task) Result {
 
 	for totalFreeSlots(ctx.Machines) > 0 && len(remaining) > 0 {
 		// Phase 1: best machine by robustness; defer sub-threshold tasks.
-		// Deferral is decided first so that pair indices refer to the
-		// post-deferral (kept) task list. Machines that cannot reach a
-		// task's defer threshold are skipped (deferFloor); a task whose
-		// every free machine is skipped comes back with mi = −1 and is
-		// deferred.
+		// A kept task's pair indexes the post-deferral (kept) task list.
+		// Machines that cannot reach a task's defer threshold are skipped
+		// (deferFloor); a task whose every free machine is skipped comes
+		// back with mi = −1 and is deferred. bestByRobustness cannot report
+		// "no free slot" here: the round runs only while one exists.
 		kept := remaining[:0]
+		pairs := st.cache.pairs[:0]
 		for _, t := range remaining {
-			mi, ev, ok := st.bestByRobustness(ctx, t, deferFloor(ctx, t))
-			if !ok {
-				kept = append(kept, t) // no free slot anywhere; keep as-is
-				continue
-			}
+			mi, ev, _ := st.bestByRobustness(ctx, t, deferFloor(ctx, t))
 			if ctx.Pruner != nil && (mi < 0 || ctx.Pruner.ShouldDefer(ev.success, ctx.sufferage(t.Type))) {
 				if !deferred[t.ID] {
 					deferred[t.ID] = true
@@ -117,17 +114,10 @@ func pruningMap(ctx *Context, batch []*task.Task) Result {
 				}
 				continue
 			}
+			pairs = append(pairs, pamPair{taskIdx: len(kept), machine: mi, ev: ev})
 			kept = append(kept, t)
 		}
 		remaining = kept
-		pairs := st.cache.pairs[:0]
-		for i, t := range remaining {
-			mi, ev, ok := st.bestByRobustness(ctx, t, deferFloor(ctx, t))
-			if !ok {
-				break
-			}
-			pairs = append(pairs, pamPair{taskIdx: i, machine: mi, ev: ev})
-		}
 		st.cache.pairs = pairs[:0]
 		if len(pairs) == 0 {
 			break

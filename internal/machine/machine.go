@@ -220,12 +220,6 @@ func (m *Machine) BusyTicks(now int64) int64 {
 	return b
 }
 
-// Cost returns the dollar cost of this machine's busy time up to tick now,
-// with ticksPerHour converting simulation ticks to billable hours.
-func (m *Machine) Cost(now int64, ticksPerHour float64) float64 {
-	return float64(m.BusyTicks(now)) / ticksPerHour * m.Price
-}
-
 // TailPMF returns the PMF of the tick at which the machine finishes
 // everything currently assigned to it — the tail PCT robustness-based
 // mappers convolve candidate tasks against; an impulse at now for an empty

@@ -131,16 +131,6 @@ func TestBusyTicksIncludesInProgressRun(t *testing.T) {
 	}
 }
 
-func TestCost(t *testing.T) {
-	m := New(0, "m0", 6, 3.6) // $3.6/hour
-	m.Enqueue(mkTask(0, 0, 10_000_000))
-	m.StartNext(0)
-	m.FinishExecuting(1_800_000) // half an hour at 1000 ticks/sec... using ticksPerHour=3.6e6
-	if got := m.Cost(1_800_000, 3_600_000); math.Abs(got-1.8) > 1e-9 {
-		t.Errorf("Cost = %v, want 1.8 (half an hour at $3.6)", got)
-	}
-}
-
 func TestRemovePending(t *testing.T) {
 	m := New(0, "m0", 6, 0)
 	a, b, c := mkTask(0, 0, 100), mkTask(1, 0, 100), mkTask(2, 0, 100)

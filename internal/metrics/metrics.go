@@ -5,14 +5,6 @@
 // window (first and last 100 task exits trimmed away).
 package metrics
 
-import (
-	"fmt"
-	"sort"
-
-	"taskprune/internal/stats"
-	"taskprune/internal/task"
-)
-
 // ApproxQualityWeight is the value credited to an approximate completion
 // relative to a full one in the quality-weighted robustness metric.
 const ApproxQualityWeight = 0.5
@@ -52,91 +44,6 @@ type TrialStats struct {
 	// (m$) per robustness point — only relative magnitudes matter to the
 	// comparison.
 	CostPerPct float64
-}
-
-// Collect computes TrialStats from the exit-ordered finished tasks of one
-// trial. nTypes sizes the per-type slices; trim tasks are removed from each
-// end of the exit order (clamped so a small trial still yields a window).
-// totalCost is the machine-time dollar cost of the whole trial.
-func Collect(finished []*task.Task, nTypes, trim int, totalCost float64) TrialStats {
-	st := TrialStats{
-		Total:            len(finished),
-		PerTypeWindow:    make([]int, nTypes),
-		PerTypeCompleted: make([]int, nTypes),
-		PerTypePct:       make([]float64, nTypes),
-		TotalCost:        totalCost,
-	}
-	window := trimWindow(finished, trim)
-	st.Window = len(window)
-	for _, t := range window {
-		st.PerTypeWindow[t.Type]++
-		st.TotalDefers += t.Defers
-		switch t.State {
-		case task.StateCompleted:
-			st.Completed++
-			st.PerTypeCompleted[t.Type]++
-		case task.StateMissed:
-			st.Missed++
-		case task.StateDropped:
-			st.Dropped++
-		case task.StateApprox:
-			st.Approx++
-		default:
-			panic(fmt.Sprintf("metrics: unfinished task in exit list: %v", t))
-		}
-	}
-	if st.Window > 0 {
-		st.RobustnessPct = 100 * float64(st.Completed) / float64(st.Window)
-		st.QualityPct = 100 * (float64(st.Completed) + ApproxQualityWeight*float64(st.Approx)) / float64(st.Window)
-	}
-	var pcts []float64
-	for ti := 0; ti < nTypes; ti++ {
-		if st.PerTypeWindow[ti] == 0 {
-			continue
-		}
-		p := 100 * float64(st.PerTypeCompleted[ti]) / float64(st.PerTypeWindow[ti])
-		st.PerTypePct[ti] = p
-		pcts = append(pcts, p)
-	}
-	st.TypeVariancePct = stats.PopVariance(pcts)
-	if st.RobustnessPct > 0 {
-		st.CostPerPct = totalCost / st.RobustnessPct * 1000 // millidollars
-	}
-	return st
-}
-
-// trimWindow sorts tasks by exit tick (stable on ID) and removes trim tasks
-// from each end. If the trial is too small for full trimming, the trim is
-// shrunk symmetrically so at least one task remains.
-func trimWindow(finished []*task.Task, trim int) []*task.Task {
-	ordered := append([]*task.Task(nil), finished...)
-	sort.SliceStable(ordered, func(i, j int) bool {
-		if ordered[i].Finish != ordered[j].Finish {
-			return ordered[i].Finish < ordered[j].Finish
-		}
-		return ordered[i].ID < ordered[j].ID
-	})
-	if trim < 0 {
-		trim = 0
-	}
-	for len(ordered) <= 2*trim && trim > 0 {
-		trim /= 2
-	}
-	if 2*trim >= len(ordered) {
-		return ordered
-	}
-	return ordered[trim : len(ordered)-trim]
-}
-
-// Series aggregates one metric across trials into a mean and 95% CI.
-type Series struct {
-	Values []float64
-	CI     stats.CI
-}
-
-// Aggregate computes a Series from per-trial values.
-func Aggregate(values []float64) Series {
-	return Series{Values: values, CI: stats.Confidence95(values)}
 }
 
 // RobustnessValues extracts RobustnessPct from each trial.

@@ -10,8 +10,9 @@ import (
 )
 
 // exitRec is the fixed-size record a streaming trial keeps per candidate
-// trim task: everything Collect reads from a *task.Task, copied out so the
-// task struct itself can return to the workload pool the moment it exits.
+// trim task: everything the window statistics read from a *task.Task,
+// copied out so the task struct itself can return to the workload pool the
+// moment it exits.
 type exitRec struct {
 	finish int64
 	id     int
@@ -20,10 +21,9 @@ type exitRec struct {
 	defers int
 }
 
-// before orders exit records the way trimWindow sorts tasks: by finish
-// tick, ties by ID. Distinct tasks have distinct IDs, so this is a strict
-// total order and the bounded heaps below select exactly the tasks the
-// sort-based trim would.
+// before orders exit records by finish tick, ties by ID. Distinct tasks
+// have distinct IDs, so this is a strict total order and the bounded heaps
+// below select exactly the tasks a sort-based trim would.
 func (a exitRec) before(b exitRec) bool {
 	if a.finish != b.finish {
 		return a.finish < b.finish
@@ -89,12 +89,12 @@ func (h *boundedHeap) add(r exitRec) {
 
 // Stream accumulates TrialStats incrementally from task exits, so a trial
 // never needs the full finished-task set: memory is O(trim + nTypes)
-// regardless of how many tasks flow through. Finalize returns exactly what
-// Collect would have returned for the same exit sequence — the steady-state
-// trim (first and last trim exits in (finish, ID) order, with Collect's
-// small-trial clamping) is reproduced by keeping the trim smallest and trim
-// largest exit records in two bounded heaps and subtracting them from
-// whole-stream counters.
+// regardless of how many tasks flow through. Finalize computes the
+// statistics over the steady-state window: the first and last trim exits in
+// (finish, ID) order are excluded, with the trim halved until a small trial
+// keeps at least one task. It keeps the trim smallest and trim largest exit
+// records in two bounded heaps and subtracts them from whole-stream
+// counters; the tests pin the result against a sort-based reference.
 type Stream struct {
 	nTypes int
 	trim   int
@@ -149,7 +149,7 @@ func (s *Stream) Share() *Stream {
 }
 
 // Observe records one task exit. Tasks must be observed in the order they
-// leave the system (the same order Collect receives them); the task may be
+// leave the system; the task may be
 // recycled immediately after Observe returns. A shared stream (Share) drops
 // the ordering requirement: its statistics do not depend on it.
 func (s *Stream) Observe(t *task.Task) {
@@ -220,7 +220,7 @@ func (s *Stream) Finalize(totalCost float64) TrialStats {
 		PerTypePct:       make([]float64, s.nTypes),
 		TotalCost:        totalCost,
 	}
-	// Collect's clamp: shrink the trim until a window survives.
+	// Small-trial clamp: shrink the trim until a window survives.
 	trim := s.trim
 	for s.total <= 2*trim && trim > 0 {
 		trim /= 2

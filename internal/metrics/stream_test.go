@@ -3,6 +3,7 @@ package metrics
 import (
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 
 	"taskprune/internal/task"
@@ -116,5 +117,32 @@ func TestStreamCounts(t *testing.T) {
 		if got := s.Counts(); got != e.want {
 			t.Fatalf("after exit %d (%v): counts = %+v, want %+v", i, e.state, got, e.want)
 		}
+	}
+}
+
+// TestStreamShareConcurrentObserve: a shared stream fed the same exits
+// from several goroutines at once, in interleaved order, finalizes to what
+// sequential observation does.
+func TestStreamShareConcurrentObserve(t *testing.T) {
+	const workers = 4
+	exits := randomExits(rand.New(rand.NewSource(17)), 1000, 5)
+	seq := NewStream(5, 100)
+	for _, tk := range exits {
+		seq.Observe(tk)
+	}
+	shared := NewStream(5, 100).Share()
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := w; i < len(exits); i += workers {
+				shared.Observe(exits[i])
+			}
+		}()
+	}
+	wg.Wait()
+	if want, got := seq.Finalize(3), shared.Finalize(3); !reflect.DeepEqual(want, got) {
+		t.Fatalf("shared stream diverges from sequential observation\nwant %+v\ngot  %+v", want, got)
 	}
 }

@@ -74,28 +74,6 @@ func SyntheticMeans(types, machines int, seed int64) [][]float64 {
 	return means
 }
 
-// Video workload dimensions (paper Fig. 9: four transcoding task types on
-// four heterogeneous Amazon EC2 VM types).
-const (
-	VideoNumTypes    = 4
-	VideoNumMachines = 4
-)
-
-// Video machine indices, mirroring the paper's EC2 fleet.
-const (
-	VideoCPUOptimized = iota
-	VideoMemOptimized
-	VideoGeneralPurpose
-	VideoGPU
-)
-
-// VideoTypeNames labels the four transcoding operations of the Fig. 9
-// workload.
-var VideoTypeNames = []string{"resolution", "codec", "bitrate", "framerate"}
-
-// VideoMachineNames labels the four VM types.
-var VideoMachineNames = []string{"cpu-opt", "mem-opt", "general", "gpu"}
-
 // VideoMeans returns the 4×4 mean matrix for the video-transcoding
 // workload. Substitution for the paper's 660-video trace (dead link): the
 // affinities follow the measurements reported by Li et al. (the paper's

@@ -81,7 +81,7 @@ func Build(means [][]float64, cfg BuildConfig, rng *stats.RNG) (*Matrix, error) 
 			samples := rng.GammaSamples(cfg.Samples, mean, shape)
 			p := pmf.FromSamples(samples, cfg.Bins)
 			if cfg.MaxImpulses > 0 {
-				p = pmf.Compact(p, cfg.MaxImpulses)
+				p = (*pmf.Arena)(nil).Compact(p, cfg.MaxImpulses)
 			}
 			m.entries[ti][mi] = Entry{PMF: p, Prof: pmf.NewProfile(p), Mean: mean, Shape: shape}
 		}
@@ -117,9 +117,6 @@ func (m *Matrix) Mean(t task.Type, mi int) float64 { return m.entries[t][mi].Mea
 
 // Profile returns the prefix-sum execution profile of type t on machine mi.
 func (m *Matrix) Profile(t task.Type, mi int) *pmf.Profile { return m.entries[t][mi].Prof }
-
-// Entry returns the full cell.
-func (m *Matrix) Entry(t task.Type, mi int) Entry { return m.entries[t][mi] }
 
 // SampleExec draws a ground-truth execution time (in ticks, >= 1) for one
 // task instance of type t on machine mi from the same gamma distribution

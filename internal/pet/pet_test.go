@@ -225,22 +225,26 @@ func TestSPECLikeMeansInconsistent(t *testing.T) {
 }
 
 func TestVideoMeansShape(t *testing.T) {
+	// Columns are the paper's EC2 VM types.
+	const (
+		cpuOptimized = iota
+		memOptimized
+		generalPurpose
+		gpu
+	)
 	means := VideoMeans()
-	if len(means) != VideoNumTypes || len(means[0]) != VideoNumMachines {
-		t.Fatalf("video matrix is %dx%d, want %dx%d", len(means), len(means[0]), VideoNumTypes, VideoNumMachines)
+	if len(means) != 4 || len(means[0]) != 4 {
+		t.Fatalf("video matrix is %dx%d, want 4x4", len(means), len(means[0]))
 	}
 	// GPU-friendly types must be fastest on the GPU column; the
 	// memory-bound type must not be.
-	if !(means[0][VideoGPU] < means[0][VideoCPUOptimized]) {
+	if !(means[0][gpu] < means[0][cpuOptimized]) {
 		t.Error("resolution transcode should prefer the GPU VM")
 	}
-	if !(means[1][VideoGPU] < means[1][VideoGeneralPurpose]) {
+	if !(means[1][gpu] < means[1][generalPurpose]) {
 		t.Error("codec transcode should prefer the GPU VM")
 	}
-	if !(means[2][VideoMemOptimized] < means[2][VideoGPU]) {
+	if !(means[2][memOptimized] < means[2][gpu]) {
 		t.Error("bitrate transcode should prefer the memory-optimized VM")
-	}
-	if len(VideoTypeNames) != VideoNumTypes || len(VideoMachineNames) != VideoNumMachines {
-		t.Error("video name tables out of sync with dimensions")
 	}
 }

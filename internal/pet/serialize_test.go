@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"taskprune/internal/stats"
-	"taskprune/internal/task"
 )
 
 func TestJSONRoundTrip(t *testing.T) {
@@ -25,7 +24,7 @@ func TestJSONRoundTrip(t *testing.T) {
 	}
 	for ti := 0; ti < orig.NumTypes(); ti++ {
 		for mi := 0; mi < orig.NumMachines(); mi++ {
-			a, b := orig.Entry(task.Type(ti), mi), loaded.Entry(task.Type(ti), mi)
+			a, b := orig.entries[ti][mi], loaded.entries[ti][mi]
 			if a.Mean != b.Mean || a.Shape != b.Shape {
 				t.Fatalf("entry (%d,%d) params changed", ti, mi)
 			}
@@ -71,7 +70,7 @@ func TestPerturbed(t *testing.T) {
 	changed := false
 	for ti := 0; ti < orig.NumTypes(); ti++ {
 		for mi := 0; mi < orig.NumMachines(); mi++ {
-			a, b := orig.Entry(task.Type(ti), mi), drifted.Entry(task.Type(ti), mi)
+			a, b := orig.entries[ti][mi], drifted.entries[ti][mi]
 			// Profiled belief untouched (same instance).
 			if a.PMF != b.PMF || a.Prof != b.Prof {
 				t.Fatal("profile was perturbed; only the truth may drift")
@@ -92,7 +91,7 @@ func TestPerturbed(t *testing.T) {
 	same := orig.Perturbed(0, stats.NewRNG(5))
 	for ti := 0; ti < orig.NumTypes(); ti++ {
 		for mi := 0; mi < orig.NumMachines(); mi++ {
-			if same.Entry(task.Type(ti), mi).Mean != orig.Entry(task.Type(ti), mi).Mean {
+			if same.entries[ti][mi].Mean != orig.entries[ti][mi].Mean {
 				t.Fatal("zero drift changed a mean")
 			}
 		}

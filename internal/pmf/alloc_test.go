@@ -16,7 +16,7 @@ func benchPMFs() (tail, exec *PMF) {
 	}
 	tail = New(100, wide)
 	tail.Normalize()
-	tail = Compact(tail, DefaultMaxImpulses)
+	tail = heap.Compact(tail, DefaultMaxImpulses)
 
 	ex := make([]float64, 300)
 	for i := 0; i < 64; i++ {
@@ -24,7 +24,7 @@ func benchPMFs() (tail, exec *PMF) {
 	}
 	exec = New(5, ex)
 	exec.Normalize()
-	exec = Compact(exec, DefaultMaxImpulses)
+	exec = heap.Compact(exec, DefaultMaxImpulses)
 	return tail, exec
 }
 
@@ -69,7 +69,7 @@ func BenchmarkConvolve(b *testing.B) {
 	tail, exec := benchPMFs()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		Convolve(tail, exec)
+		heap.Convolve(tail, exec)
 	}
 }
 
@@ -79,7 +79,7 @@ func BenchmarkConvolveDrop(b *testing.B) {
 	deadline := tail.Start() + 150
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		ConvolveDrop(tail, exec, deadline, Evict)
+		heap.ConvolveDrop(tail, exec, deadline, Evict)
 	}
 }
 

@@ -15,16 +15,10 @@ const compactStackGroups = 64
 // aggregating neighboring impulses into the center-of-mass tick of each
 // group. Total mass is preserved exactly; the mean moves by less than one
 // group width. A PMF already narrow enough is returned as-is (shared, not
-// copied — PMFs are treated as immutable once built). Note the dense
-// support may remain wide; what is bounded — and what governs convolution
-// cost — is the non-zero impulse count.
-func Compact(p *PMF, maxImpulses int) *PMF {
-	return (*Arena)(nil).Compact(p, maxImpulses)
-}
-
-// Compact is the arena-allocating form of the package-level Compact. When p
-// is already narrow enough it is returned as-is, so the result's lifetime
-// is the shorter of p's and the arena's.
+// copied — PMFs are treated as immutable once built), so the result's
+// lifetime is the shorter of p's and the arena's; a nil arena allocates on
+// the heap. Note the dense support may remain wide; what is bounded — and
+// what governs convolution cost — is the non-zero impulse count.
 func (a *Arena) Compact(p *PMF, maxImpulses int) *PMF {
 	if p.IsZero() || maxImpulses <= 0 || len(p.probs) <= maxImpulses {
 		return p

@@ -4,8 +4,9 @@ package pmf
 // the simulator's dequeue/requeue hot loop performs on every mapping event
 // for every machine with an executing task. Each replicates the exact
 // floating-point accumulation order of the heap-allocating composition it
-// replaces (Shift + ConditionAtLeast + Clone/TruncateAfter/AddMass), so
-// switching a call site to the arena form never changes simulation results.
+// replaces (Shift + ConditionAtLeast, or truncating a clone after the
+// deadline and adding the cut mass back at it), so switching a call site
+// to the arena form never changes simulation results.
 
 // ShiftConditioned returns p.Shift(dt).ConditionAtLeast(t) allocated in the
 // arena: the completion-time distribution of a task whose execution profile

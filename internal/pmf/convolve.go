@@ -108,13 +108,9 @@ func accumRow(row []float64, a float64, exec *PMF) {
 // Convolve returns the plain convolution of two PMFs (Eq. 2): the
 // distribution of the sum of the two independent random variables. This is
 // the completion time of a task whose execution time is exec and whose
-// start time is distributed as prev, when no dropping can occur.
-func Convolve(prev, exec *PMF) *PMF {
-	return (*Arena)(nil).Convolve(prev, exec)
-}
-
-// Convolve is the arena-allocating form of the package-level Convolve: the
-// result is valid until the arena's next Reset.
+// start time is distributed as prev, when no dropping can occur. The result
+// is valid until the arena's next Reset; a nil arena allocates it on the
+// heap.
 func (a *Arena) Convolve(prev, exec *PMF) *PMF {
 	if prev.IsZero() || exec.IsZero() {
 		return a.hdr()
@@ -164,8 +160,7 @@ func dropBounds(prev, exec *PMF, deadline int64) (outLo, outHi int64) {
 
 // convolveDropCore runs the PendingDrop/Evict convolution into buf (zeroed,
 // spanning [outLo, outHi] per dropBounds) and returns the success
-// probability. It is the single implementation behind ConvolveDrop and
-// its arena form.
+// probability. It is the core of Arena.ConvolveDrop.
 func convolveDropCore(buf []float64, outLo int64, prev, exec *PMF, deadline int64, mode DropMode) float64 {
 	// Predecessor slots split at the deadline: indices below cut start the
 	// task (they convolve with exec), indices at or above carry through
@@ -268,13 +263,9 @@ func convolveDropCore(buf []float64, outLo int64, prev, exec *PMF, deadline int6
 //     strictly after the deadline collapses onto an impulse at the deadline:
 //     the task is killed at δi and the machine is free at δi. Completion
 //     exactly at the deadline still counts as success (Eq. 1 uses t <= δi).
-func ConvolveDrop(prev, exec *PMF, deadline int64, mode DropMode) Result {
-	return (*Arena)(nil).ConvolveDrop(prev, exec, deadline, mode)
-}
-
-// ConvolveDrop is the arena-allocating form of the package-level
-// ConvolveDrop: the Result's Free PMF is valid until the arena's next
-// Reset.
+//
+// The Result's Free PMF is valid until the arena's next Reset; a nil arena
+// allocates it on the heap.
 func (a *Arena) ConvolveDrop(prev, exec *PMF, deadline int64, mode DropMode) Result {
 	if mode == NoDrop {
 		free := a.Convolve(prev, exec)

@@ -15,7 +15,7 @@ func execPMF() *PMF { return New(1, []float64{0.25, 0.50, 0.25}) }
 // {4: .125, 5: .3125, 6: .3125, 7: .1875, 8: .0625}.
 func TestPaperFigure2(t *testing.T) {
 	prev := New(3, []float64{0.50, 0.25, 0.25})
-	got := Convolve(prev, execPMF())
+	got := heap.Convolve(prev, execPMF())
 	want := New(4, []float64{0.125, 0.3125, 0.3125, 0.1875, 0.0625})
 	if !ApproxEqual(got, want, tol) {
 		t.Fatalf("Figure 2 convolution = %v, want %v", got, want)
@@ -38,7 +38,7 @@ func TestPaperFigure3a(t *testing.T) {
 	if s := mid.Skewness(); !almostEqual(s, 0, tol) {
 		t.Fatalf("predecessor skewness = %v, want 0", s)
 	}
-	got := Convolve(mid, execPMF())
+	got := heap.Convolve(mid, execPMF())
 	want := New(3, []float64{0.0625, 0.25, 0.375, 0.25, 0.0625})
 	if !ApproxEqual(got, want, tol) {
 		t.Fatalf("Figure 3a convolution = %v, want %v", got, want)
@@ -59,7 +59,7 @@ func TestPaperFigure3b(t *testing.T) {
 	if s := mid.Skewness(); s >= 0 {
 		t.Fatalf("predecessor skewness = %v, want negative (left skew)", s)
 	}
-	got := Convolve(mid, execPMF())
+	got := heap.Convolve(mid, execPMF())
 	want := New(3, []float64{0.0375, 0.225, 0.400, 0.275, 0.0625})
 	if !ApproxEqual(got, want, tol) {
 		t.Fatalf("Figure 3b convolution = %v, want %v", got, want)
@@ -79,7 +79,7 @@ func TestPaperFigure3c(t *testing.T) {
 	if s := mid.Skewness(); s <= 0 {
 		t.Fatalf("predecessor skewness = %v, want positive (right skew)", s)
 	}
-	got := Convolve(mid, execPMF())
+	got := heap.Convolve(mid, execPMF())
 	want := New(3, []float64{0.125, 0.3125, 0.3125, 0.1875, 0.0625})
 	if !ApproxEqual(got, want, tol) {
 		t.Fatalf("Figure 3c convolution = %v, want %v", got, want)
@@ -91,17 +91,17 @@ func TestPaperFigure3c(t *testing.T) {
 
 func TestConvolveEmptyOperands(t *testing.T) {
 	var z PMF
-	if got := Convolve(&z, execPMF()); !got.IsZero() {
+	if got := heap.Convolve(&z, execPMF()); !got.IsZero() {
 		t.Error("convolving a zero PMF should be zero")
 	}
-	if got := Convolve(execPMF(), &z); !got.IsZero() {
+	if got := heap.Convolve(execPMF(), &z); !got.IsZero() {
 		t.Error("convolving with a zero PMF should be zero")
 	}
 }
 
 func TestConvolveWithImpulseIsShift(t *testing.T) {
 	e := execPMF()
-	got := Convolve(Impulse(10), e)
+	got := heap.Convolve(Impulse(10), e)
 	if !ApproxEqual(got, e.Shift(10), tol) {
 		t.Errorf("conv with impulse = %v, want %v", got, e.Shift(10))
 	}
@@ -109,8 +109,8 @@ func TestConvolveWithImpulseIsShift(t *testing.T) {
 
 func TestConvolveDropNoDropMatchesPlain(t *testing.T) {
 	prev := New(3, []float64{0.50, 0.25, 0.25})
-	res := ConvolveDrop(prev, execPMF(), 7, NoDrop)
-	plain := Convolve(prev, execPMF())
+	res := heap.ConvolveDrop(prev, execPMF(), 7, NoDrop)
+	plain := heap.Convolve(prev, execPMF())
 	if !ApproxEqual(res.Free, plain, tol) {
 		t.Errorf("NoDrop Free = %v, want %v", res.Free, plain)
 	}
@@ -127,7 +127,7 @@ func TestConvolveDropPendingCarriesMass(t *testing.T) {
 	// Predecessor finishes at 2 (60%) or at 6 (40%); deadline is 5.
 	prev := New(2, []float64{0.6, 0, 0, 0, 0.4})
 	exec := New(1, []float64{0.5, 0.5}) // 1 or 2 ticks
-	res := ConvolveDrop(prev, exec, 5, PendingDrop)
+	res := heap.ConvolveDrop(prev, exec, 5, PendingDrop)
 
 	// Execution only from the start at 2: completes at 3 (.3) or 4 (.3).
 	// Carried mass: .4 at tick 6.
@@ -153,7 +153,7 @@ func TestConvolveDropPendingCarriesMass(t *testing.T) {
 func TestConvolveDropPendingLateCompletion(t *testing.T) {
 	prev := Impulse(4)                  // starts at 4
 	exec := New(1, []float64{0.5, 0.5}) // finish 5 or 6
-	res := ConvolveDrop(prev, exec, 5, PendingDrop)
+	res := heap.ConvolveDrop(prev, exec, 5, PendingDrop)
 	if !almostEqual(res.Success, 0.5, tol) {
 		t.Errorf("Success = %v, want 0.5", res.Success)
 	}
@@ -169,7 +169,7 @@ func TestConvolveDropPendingLateCompletion(t *testing.T) {
 func TestConvolveDropEvictCollapsesLateMass(t *testing.T) {
 	prev := Impulse(4)
 	exec := New(1, []float64{0.25, 0.5, 0.25}) // finish 5, 6 or 7
-	res := ConvolveDrop(prev, exec, 5, Evict)
+	res := heap.ConvolveDrop(prev, exec, 5, Evict)
 	if !almostEqual(res.Success, 0.25, tol) {
 		t.Errorf("Success = %v, want 0.25", res.Success)
 	}
@@ -188,7 +188,7 @@ func TestConvolveDropEvictCollapsesLateMass(t *testing.T) {
 func TestConvolveDropEvictCarriedMassStays(t *testing.T) {
 	prev := New(2, []float64{0.5, 0, 0, 0, 0, 0.5}) // finishes at 2 or 7
 	exec := Impulse(1)                              // exactly 1 tick
-	res := ConvolveDrop(prev, exec, 5, Evict)
+	res := heap.ConvolveDrop(prev, exec, 5, Evict)
 	if !almostEqual(res.Success, 0.5, tol) {
 		t.Errorf("Success = %v, want 0.5", res.Success)
 	}
@@ -206,7 +206,7 @@ func TestConvolveDropDeadlineBeforeSupport(t *testing.T) {
 	prev := New(10, []float64{0.5, 0.5})
 	exec := execPMF()
 	for _, mode := range []DropMode{PendingDrop, Evict} {
-		res := ConvolveDrop(prev, exec, 5, mode)
+		res := heap.ConvolveDrop(prev, exec, 5, mode)
 		if !almostEqual(res.Success, 0, tol) {
 			t.Errorf("%v: Success = %v, want 0", mode, res.Success)
 		}
@@ -223,7 +223,7 @@ func TestConvolveDropMassConservation(t *testing.T) {
 	exec := New(1, []float64{0.3, 0.4, 0.2, 0.1})
 	for _, mode := range []DropMode{NoDrop, PendingDrop, Evict} {
 		for _, deadline := range []int64{0, 3, 5, 7, 100} {
-			res := ConvolveDrop(prev, exec, deadline, mode)
+			res := heap.ConvolveDrop(prev, exec, deadline, mode)
 			if !almostEqual(res.Free.Mass(), 1, 1e-9) {
 				t.Errorf("mode=%v δ=%d: Free mass = %v, want 1", mode, deadline, res.Free.Mass())
 			}
@@ -241,8 +241,8 @@ func TestEvictSuccessMatchesPending(t *testing.T) {
 	prev := New(2, []float64{0.25, 0.25, 0.25, 0.25})
 	exec := New(1, []float64{0.5, 0.3, 0.2})
 	for _, deadline := range []int64{3, 5, 8} {
-		b := ConvolveDrop(prev, exec, deadline, PendingDrop)
-		c := ConvolveDrop(prev, exec, deadline, Evict)
+		b := heap.ConvolveDrop(prev, exec, deadline, PendingDrop)
+		c := heap.ConvolveDrop(prev, exec, deadline, Evict)
 		if !almostEqual(b.Success, c.Success, tol) {
 			t.Errorf("δ=%d: pending success %v != evict success %v", deadline, b.Success, c.Success)
 		}
@@ -256,8 +256,8 @@ func TestEvictFreeDominatesPending(t *testing.T) {
 	prev := New(2, []float64{0.25, 0.25, 0.25, 0.25})
 	exec := New(1, []float64{0.5, 0.3, 0.2})
 	deadline := int64(5)
-	b := ConvolveDrop(prev, exec, deadline, PendingDrop)
-	c := ConvolveDrop(prev, exec, deadline, Evict)
+	b := heap.ConvolveDrop(prev, exec, deadline, PendingDrop)
+	c := heap.ConvolveDrop(prev, exec, deadline, Evict)
 	lo := b.Free.Start()
 	if c.Free.Start() < lo {
 		lo = c.Free.Start()
@@ -279,7 +279,7 @@ func TestChainCompletion(t *testing.T) {
 	prev := Impulse(0)
 	var results []Result
 	for _, deadline := range []int64{4, 6, 8} {
-		res := ConvolveDrop(prev, execPMF(), deadline, PendingDrop)
+		res := heap.ConvolveDrop(prev, execPMF(), deadline, PendingDrop)
 		results = append(results, res)
 		prev = res.Free
 	}
@@ -315,8 +315,8 @@ func TestDroppingImprovesSuccessor(t *testing.T) {
 	exec := execPMF()
 	deadline := int64(6)
 
-	withPred := ConvolveDrop(Convolve(base, doomed), exec, deadline, PendingDrop)
-	withoutPred := ConvolveDrop(base, exec, deadline, PendingDrop)
+	withPred := heap.ConvolveDrop(heap.Convolve(base, doomed), exec, deadline, PendingDrop)
+	withoutPred := heap.ConvolveDrop(base, exec, deadline, PendingDrop)
 	if withoutPred.Success <= withPred.Success {
 		t.Errorf("dropping predecessor did not help: %v <= %v", withoutPred.Success, withPred.Success)
 	}

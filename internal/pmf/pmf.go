@@ -293,9 +293,10 @@ func (p *PMF) Variance() float64 {
 
 // Skewness returns the (population) skewness of the distribution; 0 when
 // undefined. The pruner consumes the bounded version via BoundedSkewness.
-// The accumulation order mirrors stats.WeightedMoments exactly (so results
-// are bit-identical to the slice-based formulation) but materializes no
-// support slice — this runs once per queued task per pruning pass.
+// It folds the mass-weighted moments straight off the dense support (total
+// mass, then the mean, then the second and third central moments) and
+// materializes no support slice — this runs once per queued task per
+// pruning pass.
 func (p *PMF) Skewness() float64 {
 	if p.IsZero() {
 		return 0
@@ -329,22 +330,6 @@ func (p *PMF) Skewness() float64 {
 // BoundedSkewness returns Skewness clamped into [-1, 1], the paper's
 // bounded skewness s used by the Eq. 7 per-task dropping threshold.
 func (p *PMF) BoundedSkewness() float64 { return stats.BoundSkewness(p.Skewness()) }
-
-// Quantile returns the smallest tick t with CDF(t) >= q, for q in (0, 1].
-// For an empty PMF it returns 0.
-func (p *PMF) Quantile(q float64) int64 {
-	if p.IsZero() {
-		return 0
-	}
-	var acc float64
-	for i, v := range p.probs {
-		acc += v
-		if acc >= q {
-			return p.start + int64(i)
-		}
-	}
-	return p.End()
-}
 
 // ConditionAtLeast returns the distribution of T given T >= t, renormalized.
 // The simulator uses it for the remaining completion time of a task that
@@ -386,31 +371,6 @@ func (p *PMF) RemainingAfter(c int64) *PMF {
 		return Impulse(1)
 	}
 	return cond.Shift(-c)
-}
-
-// TruncateAfter removes all mass strictly after tick t and returns the
-// removed mass. The PMF is not renormalized.
-func (p *PMF) TruncateAfter(t int64) float64 {
-	if p.IsZero() || t >= p.End() {
-		return 0
-	}
-	if t < p.start {
-		var m float64
-		for _, v := range p.probs {
-			m += v
-		}
-		p.probs = nil
-		p.nz = nil
-		return m
-	}
-	var removed float64
-	cut := t - p.start + 1
-	for _, v := range p.probs[cut:] {
-		removed += v
-	}
-	p.probs = p.probs[:cut]
-	p.nz = nil
-	return removed
 }
 
 // AddMass adds mass w at tick t, growing the support as needed.
@@ -477,33 +437,4 @@ func (p *PMF) Impulses() (ticks []int64, probs []float64) {
 		probs = append(probs, v)
 	}
 	return ticks, probs
-}
-
-// ApproxEqual reports whether two PMFs agree impulse-by-impulse within tol.
-func ApproxEqual(a, b *PMF, tol float64) bool {
-	lo := minI64(a.start, b.start)
-	hi := maxI64(a.End(), b.End())
-	if a.IsZero() && b.IsZero() {
-		return true
-	}
-	for t := lo; t <= hi; t++ {
-		if math.Abs(a.At(t)-b.At(t)) > tol {
-			return false
-		}
-	}
-	return true
-}
-
-func minI64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

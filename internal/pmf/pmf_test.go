@@ -9,6 +9,22 @@ func almostEqual(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
 const tol = 1e-12
 
+// heap is the nil arena: its methods allocate their results on the heap.
+var heap *Arena
+
+// ApproxEqual reports whether two PMFs agree impulse-by-impulse within tol.
+func ApproxEqual(a, b *PMF, tol float64) bool {
+	if a.IsZero() && b.IsZero() {
+		return true
+	}
+	for t := min(a.start, b.start); t <= max(a.End(), b.End()); t++ {
+		if math.Abs(a.At(t)-b.At(t)) > tol {
+			return false
+		}
+	}
+	return true
+}
+
 func TestNewTrimsZeros(t *testing.T) {
 	p := New(10, []float64{0, 0, 0.5, 0.5, 0, 0})
 	if got := p.Start(); got != 12 {
@@ -163,19 +179,6 @@ func TestBoundedSkewnessClamps(t *testing.T) {
 	}
 }
 
-func TestQuantile(t *testing.T) {
-	p := New(1, []float64{0.25, 0.5, 0.25})
-	cases := []struct {
-		q    float64
-		want int64
-	}{{0.1, 1}, {0.25, 1}, {0.5, 2}, {0.75, 2}, {0.9, 3}, {1.0, 3}}
-	for _, c := range cases {
-		if got := p.Quantile(c.q); got != c.want {
-			t.Errorf("Quantile(%v) = %d, want %d", c.q, got, c.want)
-		}
-	}
-}
-
 func TestConditionAtLeast(t *testing.T) {
 	p := New(1, []float64{0.25, 0.5, 0.25})
 	q := p.ConditionAtLeast(2)
@@ -196,28 +199,6 @@ func TestConditionAtLeast(t *testing.T) {
 	r := p.ConditionAtLeast(10)
 	if got := r.At(10); got != 1 {
 		t.Errorf("overdue conditioning At(10) = %v, want 1", got)
-	}
-}
-
-func TestTruncateAfter(t *testing.T) {
-	p := New(1, []float64{0.25, 0.5, 0.25})
-	removed := p.TruncateAfter(2)
-	if !almostEqual(removed, 0.25, tol) {
-		t.Errorf("removed = %v, want 0.25", removed)
-	}
-	if !almostEqual(p.Mass(), 0.75, tol) {
-		t.Errorf("Mass after truncate = %v, want 0.75", p.Mass())
-	}
-	if got := p.End(); got != 2 {
-		t.Errorf("End after truncate = %d, want 2", got)
-	}
-	// Truncating before the whole support removes everything.
-	q := New(5, []float64{0.5, 0.5})
-	if removed := q.TruncateAfter(3); !almostEqual(removed, 1, tol) {
-		t.Errorf("full truncation removed = %v, want 1", removed)
-	}
-	if !q.IsZero() {
-		t.Error("fully truncated PMF should be zero")
 	}
 }
 
@@ -302,7 +283,7 @@ func TestCompactPreservesMassAndMean(t *testing.T) {
 	}
 	p := New(100, probs)
 	p.Normalize()
-	c := Compact(p, 32)
+	c := heap.Compact(p, 32)
 	if c.NumImpulses() > 32 {
 		t.Errorf("compacted NumImpulses = %d, want <= 32", c.NumImpulses())
 	}
@@ -317,7 +298,7 @@ func TestCompactPreservesMassAndMean(t *testing.T) {
 
 func TestCompactNarrowIsIdentity(t *testing.T) {
 	p := New(1, []float64{0.25, 0.5, 0.25})
-	if got := Compact(p, 32); got != p {
+	if got := heap.Compact(p, 32); got != p {
 		t.Error("Compact of a narrow PMF should return the same instance")
 	}
 }

@@ -48,7 +48,7 @@ func TestPropConvolveMass(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		a := randomPMF(r, 24)
 		b := randomPMF(r, 24)
-		c := Convolve(a, b)
+		c := heap.Convolve(a, b)
 		return math.Abs(c.Mass()-a.Mass()*b.Mass()) < 1e-9
 	}
 	if err := quick.Check(f, quickCfg); err != nil {
@@ -62,7 +62,7 @@ func TestPropConvolveMean(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		a := randomPMF(r, 24)
 		b := randomPMF(r, 24)
-		c := Convolve(a, b)
+		c := heap.Convolve(a, b)
 		return math.Abs(c.Mean()-(a.Mean()+b.Mean())) < 1e-6
 	}
 	if err := quick.Check(f, quickCfg); err != nil {
@@ -76,7 +76,7 @@ func TestPropConvolveVariance(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		a := randomPMF(r, 24)
 		b := randomPMF(r, 24)
-		c := Convolve(a, b)
+		c := heap.Convolve(a, b)
 		return math.Abs(c.Variance()-(a.Variance()+b.Variance())) < 1e-6
 	}
 	if err := quick.Check(f, quickCfg); err != nil {
@@ -90,7 +90,7 @@ func TestPropConvolveCommutative(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		a := randomPMF(r, 16)
 		b := randomPMF(r, 16)
-		return ApproxEqual(Convolve(a, b), Convolve(b, a), 1e-9)
+		return ApproxEqual(heap.Convolve(a, b), heap.Convolve(b, a), 1e-9)
 	}
 	if err := quick.Check(f, quickCfg); err != nil {
 		t.Error(err)
@@ -106,7 +106,7 @@ func TestPropConvolveDropMass(t *testing.T) {
 		exec := randomPMF(r, 16)
 		deadline := prev.Start() + int64(r.Intn(40))
 		for _, mode := range []DropMode{NoDrop, PendingDrop, Evict} {
-			res := ConvolveDrop(prev, exec, deadline, mode)
+			res := heap.ConvolveDrop(prev, exec, deadline, mode)
 			if math.Abs(res.Free.Mass()-1) > 1e-9 {
 				return false
 			}
@@ -132,7 +132,7 @@ func TestPropDropSuccessMatchesConvolution(t *testing.T) {
 		deadline := prev.Start() + int64(r.Intn(40))
 		fast := DropSuccess(prev, prof, deadline)
 		for _, mode := range []DropMode{NoDrop, PendingDrop, Evict} {
-			res := ConvolveDrop(prev, exec, deadline, mode)
+			res := heap.ConvolveDrop(prev, exec, deadline, mode)
 			if math.Abs(res.Success-fast) > 1e-9 {
 				return false
 			}
@@ -154,7 +154,7 @@ func TestPropDropExpectedFreeMatchesConvolution(t *testing.T) {
 		prof := NewProfile(exec)
 		deadline := prev.Start() + int64(r.Intn(40))
 		for _, mode := range []DropMode{NoDrop, PendingDrop, Evict} {
-			res := ConvolveDrop(prev, exec, deadline, mode)
+			res := heap.ConvolveDrop(prev, exec, deadline, mode)
 			fast := DropExpectedFree(prev, prof, deadline, mode)
 			if math.Abs(res.Free.Mean()-fast) > 1e-6 {
 				return false
@@ -195,7 +195,7 @@ func TestPropCompact(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		p := randomPMF(r, 200)
 		bound := 1 + r.Intn(64)
-		c := Compact(p, bound)
+		c := heap.Compact(p, bound)
 		if c.NumImpulses() > bound {
 			return false
 		}
@@ -248,21 +248,6 @@ func TestPropCDFMonotone(t *testing.T) {
 	}
 }
 
-// Property: TruncateAfter + removed mass = original mass.
-func TestPropTruncateConservation(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		p := randomPMF(r, 32)
-		orig := p.Mass()
-		cut := p.Start() + int64(r.Intn(40)) - 2
-		removed := p.TruncateAfter(cut)
-		return math.Abs(p.Mass()+removed-orig) < 1e-9
-	}
-	if err := quick.Check(f, quickCfg); err != nil {
-		t.Error(err)
-	}
-}
-
 // Property: Profile prefix sums match direct computation.
 func TestPropProfileConsistency(t *testing.T) {
 	f := func(seed int64) bool {
@@ -299,9 +284,9 @@ func TestPropDropEvalSuccessBound(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		dense := Impulse(int64(r.Intn(50)))
 		for k := 2 + r.Intn(4); k > 0; k-- {
-			dense = ConvolveDrop(dense, randomExecPMF(r, 24), dense.Start()+int64(r.Intn(150)), PendingDrop).Free
+			dense = heap.ConvolveDrop(dense, randomExecPMF(r, 24), dense.Start()+int64(r.Intn(150)), PendingDrop).Free
 		}
-		compacted := Compact(dense, 1+r.Intn(8))
+		compacted := heap.Compact(dense, 1+r.Intn(8))
 		if compacted.nz != nil {
 			sparse++
 		}
@@ -342,7 +327,7 @@ func TestPropCondMeanShiftedSparse(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		rng := stats.NewRNG(seed)
 		samples := rng.GammaSamples(500, 20+800*r.Float64(), 1+19*r.Float64())
-		sparse := Compact(FromSamples(samples, 32), 1+r.Intn(DefaultMaxImpulses))
+		sparse := heap.Compact(FromSamples(samples, 32), 1+r.Intn(DefaultMaxImpulses))
 		if sparse.nz == nil {
 			return true // already narrow: nothing to compare
 		}

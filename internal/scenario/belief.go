@@ -76,10 +76,6 @@ type BeliefPolicy struct {
 // Enabled reports whether the policy replaces the oracle view (nil-safe).
 func (p *BeliefPolicy) Enabled() bool { return p != nil && p.Kind != BeliefOracle }
 
-// Online reports whether the policy re-estimates from observations
-// (nil-safe).
-func (p *BeliefPolicy) Online() bool { return p != nil && p.Kind == BeliefOnline }
-
 // EffectiveRefresh resolves the rebuild cadence, applying the default.
 func (p *BeliefPolicy) EffectiveRefresh() int {
 	if p == nil || p.Refresh == 0 {

@@ -57,9 +57,6 @@ func TestBeliefEffectiveKnobs(t *testing.T) {
 	if q.EffectiveRefresh() != 7 || q.EffectiveMinSamples() != 3 || q.EffectiveBins() != 8 {
 		t.Error("set knobs must win over the defaults")
 	}
-	if (&BeliefPolicy{Kind: BeliefFrozen}).Online() || !(&BeliefPolicy{Kind: BeliefOnline}).Online() {
-		t.Error("Online() misclassifies")
-	}
 	if nilPolicy.Enabled() || (&BeliefPolicy{}).Enabled() || !(&BeliefPolicy{Kind: BeliefFrozen}).Enabled() {
 		t.Error("Enabled() misclassifies")
 	}

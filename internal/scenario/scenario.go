@@ -245,12 +245,6 @@ func (s *Scenario) WithCheckpoint(p CheckpointPolicy) *Scenario {
 	return s
 }
 
-// WithBelief sets the mapper's knowledge model. Returns s for chaining.
-func (s *Scenario) WithBelief(p BeliefPolicy) *Scenario {
-	s.Belief = &p
-	return s
-}
-
 // WithFailover sets the dispatcher's health-detection model. Returns s for
 // chaining.
 func (s *Scenario) WithFailover(p FailoverPolicy) *Scenario {

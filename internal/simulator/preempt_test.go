@@ -9,6 +9,10 @@ import (
 	"taskprune/internal/workload"
 )
 
+// Preempted returns how many times the pruner paused an executing task
+// instead of dropping it (preemption extension).
+func (s *Simulator) Preempted() int { return s.preempted }
+
 // preemptConfig builds a PAM config with preemption on and a hair-trigger
 // pruner so the preemption path actually exercises.
 func preemptConfig(t *testing.T, gray float64) Config {

@@ -33,12 +33,6 @@ type CI struct {
 	N        int     // number of observations
 }
 
-// Lo returns the lower bound of the interval.
-func (c CI) Lo() float64 { return c.Mean - c.HalfSpan }
-
-// Hi returns the upper bound of the interval.
-func (c CI) Hi() float64 { return c.Mean + c.HalfSpan }
-
 // Confidence95 computes the mean and two-sided 95% Student-t confidence
 // interval of xs. With fewer than two observations the half-span is zero.
 func Confidence95(xs []float64) CI {

@@ -48,34 +48,6 @@ func PopVariance(xs []float64) float64 {
 // StdDev returns the unbiased sample standard deviation of xs.
 func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
 
-// Skewness computes the adjusted Fisher–Pearson sample skewness used by the
-// paper's Eq. 6:
-//
-//	S = sqrt(N(N-1))/(N-2) * (sum (Yi - Ybar)^3 / N) / sigma^3
-//
-// where sigma is the population standard deviation. It returns 0 when the
-// statistic is undefined (fewer than three observations or zero variance).
-func Skewness(xs []float64) float64 {
-	n := float64(len(xs))
-	if len(xs) < 3 {
-		return 0
-	}
-	m := Mean(xs)
-	var m2, m3 float64
-	for _, x := range xs {
-		d := x - m
-		m2 += d * d
-		m3 += d * d * d
-	}
-	m2 /= n
-	m3 /= n
-	if m2 == 0 {
-		return 0
-	}
-	g1 := m3 / math.Pow(m2, 1.5)
-	return math.Sqrt(n*(n-1)) / (n - 2) * g1
-}
-
 // BoundSkewness clamps a skewness value into [-1, 1], the "bounded
 // skewness" s of the paper: |S| >= 1 is considered highly skewed, so the
 // per-task threshold adjustment saturates there.
@@ -90,56 +62,6 @@ func BoundSkewness(s float64) float64 {
 	default:
 		return s
 	}
-}
-
-// WeightedMean returns sum(w_i * x_i) / sum(w_i); 0 if total weight is 0.
-func WeightedMean(xs, ws []float64) float64 {
-	if len(xs) != len(ws) {
-		panic("stats: WeightedMean length mismatch")
-	}
-	var num, den float64
-	for i, x := range xs {
-		num += ws[i] * x
-		den += ws[i]
-	}
-	if den == 0 {
-		return 0
-	}
-	return num / den
-}
-
-// WeightedMoments returns the mean, population variance and population
-// skewness of a discrete distribution given by values xs with probability
-// weights ws. The weights need not be normalized. This is how PMF moments
-// are computed without materializing samples.
-func WeightedMoments(xs, ws []float64) (mean, variance, skew float64) {
-	if len(xs) != len(ws) {
-		panic("stats: WeightedMoments length mismatch")
-	}
-	var w float64
-	for _, v := range ws {
-		w += v
-	}
-	if w == 0 {
-		return 0, 0, 0
-	}
-	for i, x := range xs {
-		mean += ws[i] * x
-	}
-	mean /= w
-	var m2, m3 float64
-	for i, x := range xs {
-		d := x - mean
-		m2 += ws[i] * d * d
-		m3 += ws[i] * d * d * d
-	}
-	m2 /= w
-	m3 /= w
-	variance = m2
-	if m2 > 0 {
-		skew = m3 / math.Pow(m2, 1.5)
-	}
-	return mean, variance, skew
 }
 
 // MinMax returns the smallest and largest values in xs. It panics on an

@@ -67,18 +67,6 @@ func (r *RNG) GammaSamples(n int, mean, shape float64) []float64 {
 	return out
 }
 
-// Exponential draws from an exponential distribution with the given mean.
-func (r *RNG) Exponential(mean float64) float64 {
-	if mean <= 0 {
-		panic(fmt.Sprintf("stats: Exponential requires positive mean, got %v", mean))
-	}
-	u := r.Float64()
-	for u == 0 {
-		u = r.Float64()
-	}
-	return -mean * math.Log(u)
-}
-
 // GammaRate draws inter-arrival gaps for the workload generator: a gamma
 // distribution with the given mean and a variance equal to varFrac * mean
 // (the paper uses variance = 10% of the mean except in the Fig. 9 study).

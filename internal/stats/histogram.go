@@ -72,19 +72,6 @@ func (h *Histogram) BinCenter(i int) float64 {
 	return h.Origin + (float64(i)+0.5)*h.Width
 }
 
-// Normalized returns the per-bin probabilities (counts divided by total).
-// An empty histogram yields all zeros.
-func (h *Histogram) Normalized() []float64 {
-	out := make([]float64, len(h.Counts))
-	if h.Total == 0 {
-		return out
-	}
-	for i, c := range h.Counts {
-		out[i] = c / h.Total
-	}
-	return out
-}
-
 // Mean returns the histogram's mean using bin centers.
 func (h *Histogram) Mean() float64 {
 	if h.Total == 0 {

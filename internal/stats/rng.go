@@ -59,6 +59,3 @@ func (r *RNG) UniformRange(lo, hi float64) float64 {
 	}
 	return lo + (hi-lo)*r.src.Float64()
 }
-
-// Shuffle pseudo-randomizes the order of n elements using swap.
-func (r *RNG) Shuffle(n int, swap func(i, j int)) { r.src.Shuffle(n, swap) }

@@ -106,7 +106,6 @@ func TestGammaPanicsOnBadParams(t *testing.T) {
 		func() { r.Gamma(0, 1) },
 		func() { r.Gamma(1, -1) },
 		func() { r.GammaMeanShape(-5, 2) },
-		func() { r.Exponential(0) },
 	} {
 		func() {
 			defer func() {
@@ -116,18 +115,6 @@ func TestGammaPanicsOnBadParams(t *testing.T) {
 			}()
 			f()
 		}()
-	}
-}
-
-func TestExponentialMean(t *testing.T) {
-	r := NewRNG(17)
-	const n = 40000
-	var sum float64
-	for i := 0; i < n; i++ {
-		sum += r.Exponential(50)
-	}
-	if mean := sum / n; math.Abs(mean-50) > 2 {
-		t.Errorf("Exponential(50) mean = %v, want ≈ 50", mean)
 	}
 }
 
@@ -175,28 +162,6 @@ func TestMeanVarianceStdDev(t *testing.T) {
 	}
 }
 
-func TestSkewnessMatchesEq6(t *testing.T) {
-	// Symmetric data: zero skew.
-	if got := Skewness([]float64{1, 2, 3, 4, 5}); math.Abs(got) > 1e-12 {
-		t.Errorf("symmetric skewness = %v, want 0", got)
-	}
-	// Right-tailed data: positive.
-	if got := Skewness([]float64{1, 1, 1, 1, 10}); got <= 0 {
-		t.Errorf("right-tailed skewness = %v, want > 0", got)
-	}
-	// Left-tailed data: negative.
-	if got := Skewness([]float64{-10, 1, 1, 1, 1}); got >= 0 {
-		t.Errorf("left-tailed skewness = %v, want < 0", got)
-	}
-	// Degenerate inputs.
-	if got := Skewness([]float64{1, 2}); got != 0 {
-		t.Errorf("n<3 skewness = %v, want 0", got)
-	}
-	if got := Skewness([]float64{3, 3, 3, 3}); got != 0 {
-		t.Errorf("zero-variance skewness = %v, want 0", got)
-	}
-}
-
 func TestBoundSkewness(t *testing.T) {
 	cases := []struct{ in, want float64 }{
 		{0.5, 0.5}, {-0.5, -0.5}, {1.5, 1}, {-3, -1}, {math.NaN(), 0},
@@ -205,38 +170,6 @@ func TestBoundSkewness(t *testing.T) {
 		if got := BoundSkewness(c.in); got != c.want {
 			t.Errorf("BoundSkewness(%v) = %v, want %v", c.in, got, c.want)
 		}
-	}
-}
-
-func TestWeightedMean(t *testing.T) {
-	xs := []float64{1, 2, 3}
-	ws := []float64{1, 0, 1}
-	if got := WeightedMean(xs, ws); got != 2 {
-		t.Errorf("WeightedMean = %v, want 2", got)
-	}
-	if got := WeightedMean(nil, nil); got != 0 {
-		t.Errorf("empty WeightedMean = %v, want 0", got)
-	}
-}
-
-func TestWeightedMoments(t *testing.T) {
-	// Uniform weights reproduce population moments.
-	xs := []float64{1, 2, 3, 4}
-	ws := []float64{1, 1, 1, 1}
-	mean, variance, _ := WeightedMoments(xs, ws)
-	if mean != 2.5 {
-		t.Errorf("mean = %v, want 2.5", mean)
-	}
-	if math.Abs(variance-1.25) > 1e-12 {
-		t.Errorf("variance = %v, want 1.25", variance)
-	}
-	// Weights need not be normalized.
-	mean2, var2, sk2 := WeightedMoments(xs, []float64{2, 2, 2, 2})
-	if mean2 != mean || math.Abs(var2-variance) > 1e-12 {
-		t.Error("unnormalized weights changed moments")
-	}
-	if math.Abs(sk2) > 1e-12 {
-		t.Errorf("symmetric skew = %v, want 0", sk2)
 	}
 }
 
@@ -279,9 +212,6 @@ func TestConfidence95(t *testing.T) {
 	if math.Abs(ci.HalfSpan-2.776*math.Sqrt(2)) > 1e-9 {
 		t.Errorf("CI half-span = %v, want %v", ci.HalfSpan, want)
 	}
-	if ci.Lo() >= ci.Mean || ci.Hi() <= ci.Mean {
-		t.Error("CI bounds not bracketing mean")
-	}
 	single := Confidence95([]float64{5})
 	if single.HalfSpan != 0 || single.Mean != 5 {
 		t.Errorf("single-observation CI = %+v", single)
@@ -302,14 +232,6 @@ func TestHistogramBasics(t *testing.T) {
 	}
 	if got := h.BinCenter(1); got != 15 {
 		t.Errorf("BinCenter(1) = %v, want 15", got)
-	}
-	norm := h.Normalized()
-	var sum float64
-	for _, v := range norm {
-		sum += v
-	}
-	if math.Abs(sum-1) > 1e-12 {
-		t.Errorf("normalized sum = %v, want 1", sum)
 	}
 }
 

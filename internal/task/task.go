@@ -97,10 +97,6 @@ func New(id int, typ Type, arrival, deadline int64) *Task {
 	return &Task{ID: id, Type: typ, Arrival: arrival, Deadline: deadline, Machine: -1}
 }
 
-// Slack returns the time remaining until the deadline at tick now;
-// negative when the deadline has passed.
-func (t *Task) Slack(now int64) int64 { return t.Deadline - now }
-
 // Expired reports whether the task's deadline has passed at tick now. A
 // task completing exactly at its deadline still succeeds (Eq. 1 uses
 // t <= δ), so expiry is strict.
@@ -115,9 +111,6 @@ func (t *Task) Done() bool {
 		return false
 	}
 }
-
-// Succeeded reports whether the task completed by its deadline.
-func (t *Task) Succeeded() bool { return t.State == StateCompleted }
 
 // Remaining returns the execution time still owed on machine mi, at least
 // one tick while the task is unfinished.

@@ -19,8 +19,6 @@
 // race detector to find.
 package telemetry
 
-import "sort"
-
 // Kind distinguishes scalar metric flavors in snapshots and export.
 type Kind int
 
@@ -291,62 +289,6 @@ func (r *Registry) Snapshot() Snapshot {
 		}
 	}
 	return snap
-}
-
-// Merge folds other's metrics into a copy of snap, summing counters and
-// histograms that share a name and keeping the receiver's gauges (gauges
-// are levels, not totals; the caller's shard wins). Metrics only present
-// in other are appended. Used when collapsing per-DC shards into one view.
-func Merge(snap, other Snapshot) Snapshot {
-	out := Snapshot{
-		Scalars: append([]ScalarValue(nil), snap.Scalars...),
-		Hists:   append([]HistValue(nil), snap.Hists...),
-	}
-	sIdx := make(map[string]int, len(out.Scalars))
-	for i, s := range out.Scalars {
-		sIdx[s.Name] = i
-	}
-	for _, s := range other.Scalars {
-		if i, ok := sIdx[s.Name]; ok {
-			if out.Scalars[i].Kind == KindCounter && s.Kind == KindCounter {
-				out.Scalars[i].Value += s.Value
-			}
-			continue
-		}
-		sIdx[s.Name] = len(out.Scalars)
-		out.Scalars = append(out.Scalars, s)
-	}
-	hIdx := make(map[string]int, len(out.Hists))
-	for i, h := range out.Hists {
-		hIdx[h.Name] = i
-	}
-	for _, h := range other.Hists {
-		if i, ok := hIdx[h.Name]; ok && len(out.Hists[i].Counts) == len(h.Counts) {
-			dst := &out.Hists[i]
-			dst.Counts = append([]int64(nil), dst.Counts...)
-			for j, c := range h.Counts {
-				dst.Counts[j] += c
-			}
-			dst.Sum += h.Sum
-			dst.Count += h.Count
-			continue
-		}
-		hIdx[h.Name] = len(out.Hists)
-		out.Hists = append(out.Hists, h)
-	}
-	return out
-}
-
-// Sorted returns a copy of snap with scalars and histograms in name order,
-// for deterministic rendering of merged snapshots.
-func Sorted(snap Snapshot) Snapshot {
-	out := Snapshot{
-		Scalars: append([]ScalarValue(nil), snap.Scalars...),
-		Hists:   append([]HistValue(nil), snap.Hists...),
-	}
-	sort.Slice(out.Scalars, func(i, j int) bool { return out.Scalars[i].Name < out.Scalars[j].Name })
-	sort.Slice(out.Hists, func(i, j int) bool { return out.Hists[i].Name < out.Hists[j].Name })
-	return out
 }
 
 // Options configures telemetry for a simulator or cluster engine. A nil

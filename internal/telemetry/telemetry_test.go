@@ -180,42 +180,6 @@ func TestSamplerOnSampleHook(t *testing.T) {
 	}
 }
 
-func TestMergeSnapshots(t *testing.T) {
-	a := NewRegistry()
-	ca := a.Counter("done_total", "")
-	ga := a.Gauge("depth", "")
-	ha := a.Histogram("lag", "", []float64{10})
-	ca.Add(3)
-	ga.Set(5)
-	ha.Observe(4)
-	b := NewRegistry()
-	cb := b.Counter("done_total", "")
-	gb := b.Gauge("depth", "")
-	hb := b.Histogram("lag", "", []float64{10})
-	cb.Add(4)
-	gb.Set(9)
-	hb.Observe(40)
-	b.Counter("extra_total", "").Add(1)
-
-	m := Merge(a.Snapshot(), b.Snapshot())
-	got := map[string]float64{}
-	for _, s := range m.Scalars {
-		got[s.Name] = s.Value
-	}
-	if got["done_total"] != 7 {
-		t.Fatalf("merged counter = %v, want 7", got["done_total"])
-	}
-	if got["depth"] != 5 {
-		t.Fatalf("merged gauge = %v, want the receiver's 5", got["depth"])
-	}
-	if got["extra_total"] != 1 {
-		t.Fatalf("appended counter = %v", got["extra_total"])
-	}
-	if m.Hists[0].Count != 2 || m.Hists[0].Counts[0] != 1 || m.Hists[0].Counts[1] != 1 {
-		t.Fatalf("merged hist = %+v", m.Hists[0])
-	}
-}
-
 func TestPhaseTimer(t *testing.T) {
 	pt := NewPhaseTimer()
 	t0 := pt.Start()

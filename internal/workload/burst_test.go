@@ -61,7 +61,7 @@ func TestBurstWindowConcentratesArrivals(t *testing.T) {
 }
 
 func TestBurstValidation(t *testing.T) {
-	cfg := Default()
+	cfg := baseConfig()
 	cfg.Bursts = []Burst{{Start: 600, End: 300, Factor: 2}}
 	if err := cfg.Validate(); err == nil {
 		t.Error("inverted burst window accepted")

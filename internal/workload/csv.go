@@ -12,7 +12,7 @@ import (
 )
 
 // This file round-trips workloads through CSV so that externally captured
-// traces (or wlgen output) can be replayed byte-identically: the schema is
+// traces can be replayed byte-identically: the schema is
 // id,type,arrival,deadline,true_exec_per_machine with the per-machine
 // execution times semicolon-separated.
 

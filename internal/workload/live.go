@@ -105,11 +105,6 @@ func (s *LiveSource) Poll() (t *task.Task, ok, open bool) {
 	}
 }
 
-// Chan exposes the receive side so the consumer can select over
-// submissions, shutdown signals, and timers at once. Receiving from it is
-// equivalent to Next.
-func (s *LiveSource) Chan() <-chan *task.Task { return s.ch }
-
 // Len returns how many submissions are buffered right now.
 func (s *LiveSource) Len() int { return len(s.ch) }
 

@@ -307,6 +307,3 @@ func (st *Stream) Recycle(t *task.Task) {
 		taskPool.Put(t)
 	}
 }
-
-// Emitted returns how many tasks the stream has produced so far.
-func (st *Stream) Emitted() int { return st.emitted }

@@ -70,7 +70,7 @@ func TestBurstTypeMixRegression(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	counts := CountByType(tasks, matrix.NumTypes())
+	counts := countByType(tasks, matrix.NumTypes())
 	oldCap := cfg.NumTasks/matrix.NumTypes() + 2
 	if want := []int{206, 194}; counts[0] != want[0] || counts[1] != want[1] {
 		t.Fatalf("type mix under ×8 burst = %v, want %v (corrected, cut-free distribution)", counts, want)
@@ -164,8 +164,8 @@ func TestPureStreamUnbounded(t *testing.T) {
 		last = tk.Arrival
 		src.Recycle(tk)
 	}
-	if src.Emitted() != n {
-		t.Fatalf("Emitted = %d, want %d", src.Emitted(), n)
+	if src.emitted != n {
+		t.Fatalf("emitted = %d, want %d", src.emitted, n)
 	}
 	rate := float64(n) / float64(last)
 	if rate < 0.75*cfg.Rate || rate > 1.25*cfg.Rate {

@@ -92,12 +92,6 @@ func (c Config) validate(allowUnbounded bool) error {
 	return nil
 }
 
-// Default returns the baseline trial configuration used throughout the
-// evaluation (800 tasks, 10% arrival variance, slack β = 2).
-func Default() Config {
-	return Config{NumTasks: 800, Rate: RateForLevel(Level34k), VarFrac: 0.10, Beta: 2.0}
-}
-
 // Generate builds one workload trial: NumTasks tasks with types, arrival
 // times, deadlines, and pre-sampled true execution times on every machine
 // of the PET matrix. Following the paper, each of the matrix's task types
@@ -131,13 +125,4 @@ func MustGenerate(cfg Config, matrix *pet.Matrix, rng *stats.RNG) []*task.Task {
 		panic(err)
 	}
 	return ts
-}
-
-// CountByType tallies how many tasks of each type a workload contains.
-func CountByType(tasks []*task.Task, nTypes int) []int {
-	counts := make([]int, nTypes)
-	for _, t := range tasks {
-		counts[t.Type]++
-	}
-	return counts
 }

@@ -7,6 +7,7 @@ import (
 
 	"taskprune/internal/pet"
 	"taskprune/internal/stats"
+	"taskprune/internal/task"
 )
 
 func testPET(t *testing.T) *pet.Matrix {
@@ -22,6 +23,15 @@ func testPET(t *testing.T) *pet.Matrix {
 
 func baseConfig() Config {
 	return Config{NumTasks: 400, Rate: RateForLevel(Level34k), VarFrac: 0.10, Beta: 2.0}
+}
+
+// countByType tallies how many tasks of each type a workload contains.
+func countByType(tasks []*task.Task, nTypes int) []int {
+	counts := make([]int, nTypes)
+	for _, t := range tasks {
+		counts[t.Type]++
+	}
+	return counts
 }
 
 func TestValidate(t *testing.T) {
@@ -139,7 +149,7 @@ func TestGenerateTypeBalance(t *testing.T) {
 	cfg := baseConfig()
 	cfg.NumTasks = 1200
 	tasks, _ := Generate(cfg, matrix, stats.NewRNG(41))
-	counts := CountByType(tasks, matrix.NumTypes())
+	counts := countByType(tasks, matrix.NumTypes())
 	expected := float64(cfg.NumTasks) / float64(matrix.NumTypes())
 	for ti, c := range counts {
 		if math.Abs(float64(c)-expected) > 0.5*expected {
@@ -176,19 +186,6 @@ func TestLevelLabel(t *testing.T) {
 		if got := LevelLabel(level); got != want {
 			t.Errorf("LevelLabel(%v) = %q, want %q", level, got, want)
 		}
-	}
-}
-
-func TestCountByType(t *testing.T) {
-	matrix := testPET(t)
-	tasks, _ := Generate(baseConfig(), matrix, stats.NewRNG(5))
-	counts := CountByType(tasks, matrix.NumTypes())
-	total := 0
-	for _, c := range counts {
-		total += c
-	}
-	if total != len(tasks) {
-		t.Errorf("counts sum to %d, want %d", total, len(tasks))
 	}
 }
 

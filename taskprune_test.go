@@ -1,6 +1,10 @@
 package taskprune
 
-import "testing"
+import (
+	"testing"
+
+	"taskprune/internal/workload"
+)
 
 // TestFacadeEndToEnd exercises the public API exactly the way the package
 // documentation advertises it.
@@ -9,7 +13,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 	cfg := MustConfigFor("PAM", matrix)
 	tasks := MustGenerateWorkload(WorkloadConfig{
 		NumTasks: 200,
-		Rate:     RateForLevel(Level19k),
+		Rate:     RateForLevel(workload.Level19k),
 		VarFrac:  0.10,
 		Beta:     2.0,
 	}, matrix, NewRNG(42))
@@ -26,20 +30,6 @@ func TestFacadeEndToEnd(t *testing.T) {
 	}
 	if st.RobustnessPct < 0 || st.RobustnessPct > 100 {
 		t.Errorf("RobustnessPct = %v", st.RobustnessPct)
-	}
-}
-
-// TestFacadeHeuristics constructs every advertised heuristic through the
-// facade.
-func TestFacadeHeuristics(t *testing.T) {
-	for _, name := range HeuristicNames() {
-		h, err := NewHeuristic(name)
-		if err != nil {
-			t.Fatalf("NewHeuristic(%q): %v", name, err)
-		}
-		if h.Name() != name {
-			t.Errorf("Name = %q, want %q", h.Name(), name)
-		}
 	}
 }
 
