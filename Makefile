@@ -158,11 +158,11 @@ lint:
 	$(GO) run honnef.co/go/tools/cmd/staticcheck@$(STATICCHECK_VERSION) ./...
 
 # Quick throughput/allocation smoke: one full trial per heuristic class
-# (single-fleet and sharded), one PAM mapping event (all-deferred and
-# mixed) and one MM mapping event, one dispatch decision per routing
-# policy, and the convolution-core allocation guards. The cluster trials
-# run several iterations so the reported numbers are warm steady state,
-# not first-run cache warm-up.
+# (single-fleet and sharded), one PAM mapping event (all-deferred,
+# near-threshold and mixed) and one MM mapping event, one dispatch
+# decision per routing policy, and the convolution-core allocation guards.
+# The cluster trials run several iterations so the reported numbers are
+# warm steady state, not first-run cache warm-up.
 bench-smoke:
 	$(GO) test -run xxx -bench SingleTrial -benchtime 1x -benchmem .
 	$(GO) test -run xxx -bench ClusterTrial -benchtime 5x -benchmem .

@@ -44,7 +44,7 @@ type Context struct {
 	// makes Map build a private one (tests, direct library use).
 	Cache *EvalCache
 	// NaiveEval disables the evaluation cache, the cross-event tail memo,
-	// and PAM's phase-one success bound: every machine tail is rebuilt from
+	// and phase one's success bound: every machine tail is rebuilt from
 	// its queue at every event and every phase-one scalar is recomputed for
 	// every free (task, machine) pair on every commit round. Results are
 	// identical by construction (the equivalence tests assert it); the only
@@ -199,7 +199,8 @@ func totalFreeSlots(ms []*machine.Machine) int {
 // stays live. That turns the O(rounds × tasks × machines) convolution bill
 // of a naive mapper into O(tasks × machines + rounds × tasks).
 type EvalCache struct {
-	tails []*pmf.PMF // per-machine queue-tail free-time PMFs for this event
+	tails  []*pmf.PMF         // per-machine queue-tail free-time PMFs for this event
+	bounds []pmf.SuccessBound // per-machine summaries of tails for phase one's skip test
 
 	// stamps[i] counts actual changes of machine i's tail distribution. A
 	// cached evaluation is valid while its stamp matches: commits bump the
@@ -425,10 +426,11 @@ func (s *scalarState) commit(ctx *Context, t *task.Task, mi int) {
 // in the EvalCache and invalidated per machine by queue version, since a
 // commit perturbs exactly one tail.
 type probState struct {
-	cache *EvalCache
-	tails []*pmf.PMF // == cache.tails, re-sliced for this event
-	arena *pmf.Arena
-	naive bool
+	cache  *EvalCache
+	tails  []*pmf.PMF         // == cache.tails, re-sliced for this event
+	bounds []pmf.SuccessBound // == cache.bounds; bounds[i] summarises tails[i]
+	arena  *pmf.Arena
+	naive  bool
 }
 
 // fastEval is a cached phase-one evaluation of one (task, machine) pair.
@@ -445,19 +447,22 @@ func newProbState(ctx *Context) *probState {
 	n := len(ctx.Machines)
 	if cap(c.tails) < n {
 		c.tails = make([]*pmf.PMF, n)
+		c.bounds = make([]pmf.SuccessBound, n)
 		c.stamps = make([]uint64, n)
 		c.memo = make([]tailMemo, n)
 	}
 	c.tails = c.tails[:n]
+	c.bounds = c.bounds[:n]
 	c.stamps = c.stamps[:n]
 	c.memo = c.memo[:n]
 	// The probState lives inside the cache so that binding an event to it
 	// allocates nothing — a streaming trial runs millions of mapping events
 	// through the same record.
 	s := &c.ps
-	s.cache, s.tails, s.arena, s.naive = c, c.tails, ctx.Arena, ctx.NaiveEval
+	s.cache, s.tails, s.bounds, s.arena, s.naive = c, c.tails, c.bounds, ctx.Arena, ctx.NaiveEval
 	for i, m := range ctx.Machines {
 		s.tails[i] = c.tailFor(ctx, i, m)
+		s.bounds[i].Set(s.tails[i])
 	}
 	return s
 }
@@ -535,18 +540,6 @@ func (s *probState) evaluate(ctx *Context, t *task.Task, mi int) fastEval {
 // two machines as tied and prefers the earlier expected machine-free time.
 const tieEps = 1e-9
 
-// successBound is an O(1) upper bound on DropEval's success for a task with
-// execution profile exec queued behind tail. Success is
-// Σ_s tail(s)·CDF_exec(δ−s) over starts s ≥ tail.Start(), and the CDF is
-// monotone, so it never exceeds CDF_exec(δ − tail.Start()). An empty tail
-// has success 0.
-func successBound(tail *pmf.PMF, exec *pmf.Profile, deadline int64) float64 {
-	if tail.IsZero() {
-		return 0
-	}
-	return exec.CDF(deadline - tail.Start())
-}
-
 // bestByRobustness returns the free-slot machine maximizing the task's
 // success probability, together with the evaluation; ok is false when no
 // machine has room. Ties (common once robustness saturates at 1.0 on
@@ -554,9 +547,10 @@ func successBound(tail *pmf.PMF, exec *pmf.Profile, deadline int64) float64 {
 // without this, every saturated task would pile onto the lowest-indexed
 // machine.
 //
-// Machines whose successBound lies below floor are skipped without an
-// evaluation or a cache lookup; mi is −1 (with ok true) when every free
-// machine was skipped. Pass math.Inf(-1) to scan exhaustively.
+// Machines whose tail summary bounds the task's success below floor
+// (pmf.SuccessBound.Below) are skipped without an evaluation or a cache
+// lookup; mi is −1 (with ok true) when every free machine was skipped.
+// Pass math.Inf(-1) to scan exhaustively.
 func (s *probState) bestByRobustness(ctx *Context, t *task.Task, floor float64) (mi int, ev fastEval, ok bool) {
 	bounded := floor > math.Inf(-1)
 	best, free := -1, false
@@ -566,7 +560,7 @@ func (s *probState) bestByRobustness(ctx *Context, t *task.Task, floor float64) 
 			continue
 		}
 		free = true
-		if bounded && successBound(s.tails[i], ctx.TaskExecProfile(t, i), t.Deadline) < floor {
+		if bounded && s.bounds[i].Below(ctx.TaskExecProfile(t, i), t.Deadline, floor) {
 			continue
 		}
 		r := s.evaluate(ctx, t, i)
@@ -593,6 +587,7 @@ func (s *probState) commit(ctx *Context, t *task.Task, mi int) {
 	}
 	res := s.arena.ConvolveDrop(s.tails[mi], ctx.TaskExecPMF(t, mi), t.Deadline, ctx.Mode)
 	s.tails[mi] = s.arena.Compact(res.Free, ctx.MaxImpulses)
+	s.bounds[mi].Set(s.tails[mi])
 	s.cache.stamps[mi]++ // one column of cached evaluations dies, no more
 	s.cache.Forget(t.ID)
 }

@@ -164,18 +164,30 @@ func TestMMUPrefersMaxUrgency(t *testing.T) {
 }
 
 // TestMOCCullsHopelessTasks: tasks with sub-threshold robustness stay
-// unmapped.
+// unmapped. The hopeless task's success bound lies below the culling
+// threshold on every machine, so the bounded phase one culls it without
+// one evaluation or cache row; NaiveEval evaluates it and culls it too.
 func TestMOCCullsHopelessTasks(t *testing.T) {
 	matrix := testPET(t)
-	ctx := freshContext(t, matrix, 6)
-	hopeless := mkTask(0, 0, 0, 2) // deadline 2 with ~10-tick exec: robustness ≈ 0
-	fine := mkTask(1, 1, 0, 1000)
-	res := NewMOC(0.30).Map(ctx, []*task.Task{hopeless, fine})
-	if len(res.Assigned) != 1 || res.Assigned[0] != fine {
-		t.Errorf("MOC assigned %v, want only the viable task", res.Assigned)
-	}
-	if hopeless.State != task.StatePending {
-		t.Errorf("culled task state = %v, want pending (stays in batch)", hopeless.State)
+	for _, naive := range []bool{false, true} {
+		ctx := freshContext(t, matrix, 6)
+		ctx.Cache = NewEvalCache()
+		ctx.NaiveEval = naive
+		hopeless := mkTask(0, 0, 0, 2) // deadline 2 with ~10-tick exec: robustness ≈ 0
+		fine := mkTask(1, 1, 0, 1000)
+		res := NewMOC(0.30).Map(ctx, []*task.Task{hopeless, fine})
+		if len(res.Assigned) != 1 || res.Assigned[0] != fine {
+			t.Errorf("naive=%v: MOC assigned %v, want only the viable task", naive, res.Assigned)
+		}
+		if len(res.Culled) != 1 || res.Culled[0] != hopeless {
+			t.Errorf("naive=%v: MOC culled %v, want the hopeless task", naive, res.Culled)
+		}
+		if hopeless.State != task.StatePending {
+			t.Errorf("naive=%v: culled task state = %v, want pending (stays in batch)", naive, hopeless.State)
+		}
+		if _, row := ctx.Cache.evals[hopeless.ID]; !naive && row {
+			t.Error("bounded phase one evaluated a hopeless pair")
+		}
 	}
 }
 
@@ -308,7 +320,8 @@ func TestPAMFUsesSufferage(t *testing.T) {
 }
 
 // TestProbStateCacheConsistency: cached fast evaluations must equal fresh
-// ones after commits invalidate a machine.
+// ones after commits invalidate a machine, and the machine's success-bound
+// summary must follow its new tail.
 func TestProbStateCacheConsistency(t *testing.T) {
 	matrix := testPET(t)
 	ctx := freshContext(t, matrix, 6)
@@ -328,6 +341,11 @@ func TestProbStateCacheConsistency(t *testing.T) {
 	}
 	if evB1 == evB2 {
 		t.Error("commit did not invalidate the cached evaluation")
+	}
+	var want pmf.SuccessBound
+	want.Set(st.tails[0])
+	if st.bounds[0] != want {
+		t.Error("commit left machine 0's success bound summarising the old tail")
 	}
 }
 

@@ -104,7 +104,11 @@ func (ev *mapEvent) run(b *testing.B, h Heuristic, check func(Result) bool) {
 // BenchmarkPAMMapEvent times one PAM mapping event whose machine tails are
 // memoized but whose phase-one evaluations are all stale, so every pair the
 // bound keeps is evaluated afresh. all-deferred is the event that assigns
-// nothing, as about two thirds of pam-34k's events do; mixed maps some of
+// nothing, as about two thirds of pam-34k's events do, with deadlines so
+// tight that the tail's first tick already rules out most pairs.
+// near-threshold gives the same batch more slack, so most pairs clear the
+// first-tick bound yet fall short of the defer threshold: it assigns 2
+// tasks, defers 36, and exercises the four-group bound. mixed maps some of
 // the batch and defers the rest.
 func BenchmarkPAMMapEvent(b *testing.B) {
 	matrix := pet.MustBuild(pet.SPECLikeMeans(), pet.DefaultBuildConfig(), stats.NewRNG(0x5EC))
@@ -113,11 +117,35 @@ func BenchmarkPAMMapEvent(b *testing.B) {
 			return len(r.Assigned) == 0 && len(r.Deferred) == mapEventBatch
 		})
 	})
+	b.Run("near-threshold", func(b *testing.B) {
+		newMapEvent(matrix, 2, 5).run(b, PAM{}, func(r Result) bool {
+			return len(r.Assigned) == 2 && len(r.Deferred) == mapEventBatch-2
+		})
+	})
 	b.Run("mixed", func(b *testing.B) {
 		newMapEvent(matrix, 0.5, 8).run(b, PAM{}, func(r Result) bool {
 			return len(r.Assigned) > 0 && len(r.Deferred) > 0
 		})
 	})
+}
+
+// TestPAMMapEventAllocFree: once the cache and arena have grown, an
+// all-deferred PAM mapping event — a tail summary per machine and a bound
+// test per pair, which here rules out every pair — allocates nothing. The
+// event leaves every queue as it found it, so it repeats without reset,
+// whose re-queueing allocates.
+func TestPAMMapEventAllocFree(t *testing.T) {
+	matrix := pet.MustBuild(pet.SPECLikeMeans(), pet.DefaultBuildConfig(), stats.NewRNG(0x5EC))
+	ev := newMapEvent(matrix, 0.5, 3)
+	PAM{}.Map(ev.ctx, ev.batch)
+	if n := testing.AllocsPerRun(50, func() {
+		ev.ctx.Arena.Reset()
+		if r := (PAM{}).Map(ev.ctx, ev.batch); len(r.Assigned) != 0 || len(r.Deferred) != mapEventBatch {
+			t.Fatalf("event assigned %d and deferred %d, want 0 and %d", len(r.Assigned), len(r.Deferred), mapEventBatch)
+		}
+	}); n != 0 {
+		t.Errorf("all-deferred PAM mapping event allocates %.1f objects, want 0", n)
+	}
 }
 
 // BenchmarkMMMapEvent times one MM mapping event on the same state: MM

@@ -1,7 +1,6 @@
 package heuristics
 
 import (
-	"math"
 	"sort"
 
 	"taskprune/internal/pmf"
@@ -49,18 +48,21 @@ func (h MOC) Map(ctx *Context, batch []*task.Task) Result {
 	defer func() { st.cache.keepResult(&out) }()
 	remaining := st.cache.takeRemaining(batch)
 	defer func() { st.cache.putRemaining(remaining) }()
+	floor := skipFloor(ctx, h.Threshold)
 	for totalFreeSlots(ctx.Machines) > 0 && len(remaining) > 0 {
 		// Phase 1: best machine per task by robustness, culling as it goes:
 		// a task whose best robustness lies below the threshold is dropped
 		// from the system entirely — the paper's MOC maps or drops every
 		// batch task ("until all tasks in the batch queue are mapped or
 		// dropped"). A kept task's pair indexes the kept task list.
-		// bestByRobustness cannot report "no free slot" here: the round
-		// runs only while one exists.
+		// Machines that cannot reach the threshold are skipped (skipFloor);
+		// a task whose every free machine is skipped comes back with
+		// mi = −1 and zero success, and is culled. bestByRobustness cannot
+		// report "no free slot" here: the round runs only while one exists.
 		kept := remaining[:0]
 		pairs := st.cache.mpairs[:0]
 		for _, t := range remaining {
-			mi, ev, _ := st.bestByRobustness(ctx, t, math.Inf(-1))
+			mi, ev, _ := st.bestByRobustness(ctx, t, floor)
 			if ev.success < h.Threshold {
 				out.Culled = append(out.Culled, t)
 				continue

@@ -58,31 +58,45 @@ type pamPair struct {
 // evaluations pick the same winner.
 const expFreeTieEps = 1e-9
 
-// deferFloor is the success bound below which phase one skips a machine
-// for task t: the task's defer threshold minus a margin of
-// (machines+2)·tieEps + 1e-12. Without a pruner nothing is deferred, and
-// NaiveEval is the exhaustive oracle, so both scan every machine.
+// skipFloor is the success bound below which phase one skips a machine for
+// a task that threshold decides: PAM and PAMF defer a task whose best
+// success lies below its defer threshold, and MOC culls one below its
+// culling threshold. The floor is the threshold minus a margin of
+// (machines+2)·tieEps + 1e-12. NaiveEval is the exhaustive oracle, so it
+// scans every machine.
 //
 // The margin makes skipping invisible. A skipped machine's success lies
-// below the floor (1e-12 absorbs the bound's rounding). bestByRobustness
-// moves its running best either by a strict win, to a machine more than
-// tieEps better, or by an ε-tie, to a machine within tieEps; an ε-tie
-// raises the running best by at most tieEps. The exhaustive and the
-// bounded scan first part where the exhaustive one adopts a skipped
-// machine, which needs a running best below floor + tieEps. Until both
-// adopt the same machine again, every further machine raises the higher of
-// their two running bests by at most tieEps, so over the n machines of the
-// fleet both stay below floor + n·tieEps: more than 2·tieEps under the
-// threshold, and both defer. An ε-tie chain that starts at a skipped
-// machine therefore cannot reach a machine that passes the threshold, and
-// whenever the exhaustive scan clears it, the bounded scan ends on the same
-// machine with the same evaluation.
-func deferFloor(ctx *Context, t *task.Task) float64 {
-	if ctx.Pruner == nil || ctx.NaiveEval {
+// below the floor. The 1e-12 absorbs rounding: the bound (pmf.SuccessBound)
+// and DropEval's success each sum one rounded term per tail impulse, so
+// each lies within about k·1.1e-16 of its exact value on a k-impulse tail
+// (1.4e-14 at 128, the widest compaction bound any sweep runs), and the
+// exact bound is at least the exact success. bestByRobustness moves its
+// running best either by a strict win, to a machine more than tieEps
+// better, or by an ε-tie, to a machine within tieEps; an ε-tie raises the
+// running best by at most tieEps. The exhaustive and the bounded scan first
+// part where the exhaustive one adopts a skipped machine, which needs a
+// running best below floor + tieEps. Until both adopt the same machine
+// again, every further machine raises the higher of their two running bests
+// by at most tieEps, so over the n machines of the fleet both stay below
+// floor + n·tieEps: more than 2·tieEps under the threshold, and both defer
+// (or cull). An ε-tie chain that starts at a skipped machine therefore
+// cannot reach a machine that passes the threshold, and whenever the
+// exhaustive scan clears it, the bounded scan ends on the same machine with
+// the same evaluation.
+func skipFloor(ctx *Context, threshold float64) float64 {
+	if ctx.NaiveEval {
 		return math.Inf(-1)
 	}
-	boundMargin := float64(len(ctx.Machines)+2)*tieEps + 1e-12
-	return ctx.Pruner.DeferThresholdFor(ctx.sufferage(t.Type)) - boundMargin
+	return threshold - (float64(len(ctx.Machines)+2)*tieEps + 1e-12)
+}
+
+// deferFloor is skipFloor at task t's defer threshold. Without a pruner
+// nothing is deferred, so phase one scans every machine.
+func deferFloor(ctx *Context, t *task.Task) float64 {
+	if ctx.Pruner == nil {
+		return math.Inf(-1)
+	}
+	return skipFloor(ctx, ctx.Pruner.DeferThresholdFor(ctx.sufferage(t.Type)))
 }
 
 // pruningMap is the shared PAM/PAMF mapping loop.

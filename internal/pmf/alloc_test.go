@@ -47,6 +47,32 @@ func TestArenaConvolveDropAllocFree(t *testing.T) {
 	}
 }
 
+// TestSuccessBoundAllocFree: phase one summarises every machine's tail at
+// every mapping event, so Set and Below must not allocate, neither on a
+// compacted (sparse) tail nor on a dense one wider than any stack buffer.
+func TestSuccessBoundAllocFree(t *testing.T) {
+	sparse, execPMF := benchPMFs()
+	wide := make([]float64, 300)
+	for i := range wide {
+		wide[i] = 1
+	}
+	dense := New(100, wide)
+	dense.Normalize()
+	if sparse.nz == nil || dense.nz != nil || dense.NumImpulses() <= 64 {
+		t.Fatal("premise broken: want a sparse tail and a dense tail of more than 64 impulses")
+	}
+	exec := NewProfile(execPMF)
+	var sb SuccessBound
+	for _, tail := range []*PMF{sparse, dense} {
+		if n := testing.AllocsPerRun(100, func() {
+			sb.Set(tail)
+			_ = sb.Below(exec, tail.Start()+150, 0.9)
+		}); n != 0 {
+			t.Errorf("nz=%v: Set+Below allocates %.1f objects, want 0", tail.nz != nil, n)
+		}
+	}
+}
+
 // TestCloneDeepCopiesSparseIndex: Clone is the documented escape hatch
 // for PMFs that must outlive an arena Reset, so it cannot share the
 // sparse index backing array — that may live in a pooled arena block.

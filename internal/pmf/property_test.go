@@ -273,13 +273,27 @@ func TestPropProfileConsistency(t *testing.T) {
 	}
 }
 
+// groupBound is the tightest of SuccessBound.Below's partial bounds,
+// Σ_g mass_g·CDF_exec(δ − tick_g), summed in Below's order.
+func groupBound(b *SuccessBound, exec *Profile, deadline int64) float64 {
+	var s float64
+	for g := range b.n {
+		s += b.mass[g] * exec.CDF(deadline-b.tick[g])
+	}
+	return s
+}
+
 // Property: DropEval's success never exceeds CDF_exec(δ − prev.Start()),
-// the O(1) bound PAM's phase one skips machines on — every start lies at or
-// after prev.Start() and the CDF is monotone. Tails are queue chains like a
-// machine's, left dense or compacted to sparse form; profiles are fresh or
-// conditioned on banked progress like a restored task's.
+// the first-tick bound — every start lies at or after prev.Start() and the
+// CDF is monotone — nor the four-group bound SuccessBound summarises, so
+// Below never skips a machine whose success reaches the floor. The
+// four-group bound is never looser than the first-tick one, and at PAM's
+// defer threshold and MOC's culling threshold it skips pairs the first-tick
+// bound keeps. Tails are queue chains like a machine's, left dense or
+// compacted to sparse form, or an empty machine's single impulse; profiles
+// are fresh or conditioned on banked progress like a restored task's.
 func TestPropDropEvalSuccessBound(t *testing.T) {
-	sparse := 0
+	sparse, tighter := 0, 0
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		dense := Impulse(int64(r.Intn(50)))
@@ -290,15 +304,34 @@ func TestPropDropEvalSuccessBound(t *testing.T) {
 		if compacted.nz != nil {
 			sparse++
 		}
+		single := Impulse(int64(r.Intn(200)))
 		exec := randomExecPMF(r, 24)
 		consumed := 1 + r.Int63n(exec.End())
-		for _, prev := range []*PMF{dense, compacted} {
+		for _, prev := range []*PMF{dense, compacted, single} {
+			var sb SuccessBound
+			sb.Set(prev)
 			for _, prof := range []*Profile{NewProfile(exec), NewProfile(exec.RemainingAfter(consumed))} {
 				for d := prev.Start() - 2; d <= prev.End()+prof.PMF().End()+2; d++ {
-					bound := prof.CDF(d - prev.Start())
+					first := prof.CDF(d - prev.Start())
+					four := groupBound(&sb, prof, d)
+					if four > first+1e-12 {
+						t.Logf("seed %d deadline %d: four-group bound %v above first-tick bound %v", seed, d, four, first)
+						return false
+					}
 					for _, mode := range []DropMode{NoDrop, PendingDrop, Evict} {
-						if s, _ := DropEval(prev, prof, d, mode); s > bound+1e-12 {
+						s, _ := DropEval(prev, prof, d, mode)
+						if s > first+1e-12 || s > four+1e-12 {
+							t.Logf("seed %d deadline %d %v: success %v above a bound (first-tick %v, four-group %v)", seed, d, mode, s, first, four)
 							return false
+						}
+						if s > 1e-12 && sb.Below(prof, d, s-1e-12) {
+							t.Logf("seed %d deadline %d %v: Below skips success %v", seed, d, mode, s)
+							return false
+						}
+					}
+					for _, floor := range []float64{0.3, 0.9} {
+						if first >= floor && sb.Below(prof, d, floor) {
+							tighter++
 						}
 					}
 				}
@@ -311,6 +344,53 @@ func TestPropDropEvalSuccessBound(t *testing.T) {
 	}
 	if sparse == 0 {
 		t.Error("no compacted tail took the sparse path")
+	}
+	if tighter == 0 {
+		t.Error("Below never skipped a pair the first-tick bound keeps")
+	}
+	t.Logf("%d (tail, profile, deadline, floor) cases skipped that the first-tick bound keeps", tighter)
+}
+
+// TestSuccessBoundBelow: a tail with 0.05 at tick 0 and 0.95 at tick 100,
+// dense and sparse, and a task certain to finish within 10 ticks of
+// starting, due at tick 20. The first-tick bound is 1, but success is 0.05,
+// and the group that starts at tick 100 shows it: Below skips at floor 0.9
+// and keeps at floor 0.05. An empty tail reads success 0.
+func TestSuccessBoundBelow(t *testing.T) {
+	probs := make([]float64, 101)
+	probs[0], probs[100] = 0.05, 0.95
+	dense := New(0, probs)
+	sparse := heap.Compact(dense, 2)
+	if dense.nz != nil || sparse.nz == nil || sparse.NumImpulses() != 2 {
+		t.Fatal("premise broken: want one dense and one sparse two-impulse tail")
+	}
+	exec := NewProfile(New(5, []float64{0.5, 0, 0, 0, 0, 0.5}))
+	if exec.CDF(10) != 1 {
+		t.Fatal("premise broken: exec should be certain by tick 10")
+	}
+	for _, tail := range []*PMF{dense, sparse} {
+		var sb SuccessBound
+		sb.Set(tail)
+		if first := exec.CDF(20 - tail.Start()); first != 1 {
+			t.Fatalf("first-tick bound = %v, want 1", first)
+		}
+		if s, _ := DropEval(tail, exec, 20, Evict); math.Abs(s-0.05) > 1e-15 {
+			t.Fatalf("success = %v, want 0.05", s)
+		}
+		if !sb.Below(exec, 20, 0.9) {
+			t.Errorf("nz=%v: Below(floor 0.9) = false, want true", tail.nz != nil)
+		}
+		if sb.Below(exec, 20, 0.05) {
+			t.Errorf("nz=%v: Below(floor 0.05) = true on success 0.05", tail.nz != nil)
+		}
+	}
+	var empty SuccessBound
+	empty.Set(dense) // Set must clear what a previous tail left
+	empty.Set(&PMF{})
+	for _, floor := range []float64{-1, 0, 1e-300, 0.9} {
+		if got := empty.Below(exec, 20, floor); got != (0 < floor) {
+			t.Errorf("empty tail: Below(floor %v) = %v, want %v", floor, got, 0 < floor)
+		}
 	}
 }
 

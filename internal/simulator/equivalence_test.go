@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"taskprune/internal/heuristics"
 	"taskprune/internal/metrics"
 	"taskprune/internal/pet"
 	"taskprune/internal/pmf"
@@ -72,7 +73,7 @@ func assertNaiveEquivalent(t *testing.T, cfg Config, matrix *pet.Matrix, seeds i
 
 // TestCachedEvalEquivalence: the incremental evaluation cache (per-(task,
 // machine) slots keyed by tail stamps, plus the cross-event tail memo) and
-// PAM's phase-one success bound must be pure optimizations — the same
+// phase one's success bound must be pure optimizations — the same
 // workload and seed must yield a byte-identical decision trace and
 // identical robustness statistics with them enabled and with NaiveEval
 // recomputing everything, under all three dropping scenarios.
@@ -91,7 +92,8 @@ func TestCachedEvalEquivalence(t *testing.T) {
 }
 
 // TestCachedEvalEquivalenceMOC extends the cache equivalence check to MOC,
-// whose permutation search reads the cached tails directly.
+// whose permutation search reads the cached tails directly and whose phase
+// one skips machines below its culling threshold.
 func TestCachedEvalEquivalenceMOC(t *testing.T) {
 	matrix := simPET(t)
 	cfg := MustConfigFor("MOC", matrix)
@@ -149,11 +151,12 @@ func TestCachedEvalEquivalenceUnderScenario(t *testing.T) {
 	}
 }
 
-// TestBoundedPhaseOneThresholdSweep: PAM's phase one skips the machines
-// whose success bound lies below the defer threshold minus a tie margin.
-// Across defer thresholds from lax to near-certain, on a static fleet and
-// under every churn scenario, the bound-pruned runs must retrace the
-// exhaustive NaiveEval runs byte for byte.
+// TestBoundedPhaseOneThresholdSweep: phase one skips the machines whose
+// success bound lies below the deciding threshold minus a tie margin — PAM
+// and PAMF's defer threshold, MOC's culling threshold. Across thresholds
+// from lax to near-certain, on a static fleet and under every churn
+// scenario, the bound-pruned runs must retrace the exhaustive NaiveEval
+// runs byte for byte.
 func TestBoundedPhaseOneThresholdSweep(t *testing.T) {
 	matrix := simPET(t)
 	scenarios := churnScenarios()
@@ -170,6 +173,16 @@ func TestBoundedPhaseOneThresholdSweep(t *testing.T) {
 					assertNaiveEquivalent(t, cfg, matrix, 2)
 				})
 			}
+		}
+	}
+	for _, th := range []float64{0.05, 0.3, 0.6, 0.9, 0.99} {
+		for scName, sc := range scenarios {
+			t.Run(fmt.Sprintf("MOC/cull=%v/%s", th, scName), func(t *testing.T) {
+				cfg := MustConfigFor("MOC", matrix)
+				cfg.Heuristic = heuristics.NewMOC(th)
+				cfg.Scenario = sc
+				assertNaiveEquivalent(t, cfg, matrix, 2)
+			})
 		}
 	}
 }

@@ -51,11 +51,13 @@
 //     exactly one machine's stamp, so each commit round invalidates one
 //     column instead of the whole table, and a cross-event tail memo keeps
 //     stamps (and thus cached evaluations) alive while a machine's queue
-//     and conditioned head distribution are unchanged. PAM and PAMF also
-//     skip, without evaluating, every machine whose O(1) success bound
-//     cannot reach the task's defer threshold. The simulator's NaiveEval
-//     option disables all of it; the equivalence tests assert the decision
-//     traces are byte-identical either way.
+//     and conditioned head distribution are unchanged. PAM, PAMF and MOC
+//     also skip, without evaluating, every machine whose success bound
+//     cannot reach the task's defer or culling threshold; the bound reads
+//     a four-group summary of the machine's tail (pmf.SuccessBound), one
+//     profile lookup per group. The simulator's NaiveEval option disables
+//     all of it; the equivalence tests assert the decision traces are
+//     byte-identical either way.
 //
 //   - Arrivals are pull-based: the simulator's RunSource drains a
 //     workload.Source, pulling each task only when the event horizon
