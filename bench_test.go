@@ -346,17 +346,6 @@ func BenchmarkAblationMOCThreshold(b *testing.B) {
 	}
 }
 
-// BenchmarkExtensionPreemption measures the preemption future-work
-// extension (PAM vs PAM+preempt).
-func BenchmarkExtensionPreemption(b *testing.B) {
-	o := benchOptions()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.ExtensionPreemption(o); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkExtensionApproximate measures the approximate-computing
 // future-work extension.
 func BenchmarkExtensionApproximate(b *testing.B) {

@@ -58,7 +58,6 @@ var experimentOrder = []struct {
 	{"abl-arrival", experiments.AblationArrivalVariance},
 	{"abl-moc", experiments.AblationMOCThreshold},
 	{"abl-drift", experiments.AblationPETDrift},
-	{"ext-preempt", experiments.ExtensionPreemption},
 	{"ext-approx", experiments.ExtensionApproximate},
 	{"scen-fault", experiments.ScenarioFaultTolerance},
 	{"cluster-fault", experiments.ClusterFaultTolerance},

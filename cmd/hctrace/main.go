@@ -1,7 +1,7 @@
 // Command hctrace runs one fully traced trial and prints what happened
-// inside it: outcome breakdown, latency percentiles, deferral/preemption
-// activity, per-machine utilization, and (optionally) the queue-occupancy
-// timeline or the raw decision stream.
+// inside it: outcome breakdown, latency percentiles, deferral activity,
+// per-machine utilization, and (optionally) the queue-occupancy timeline
+// or the raw decision stream.
 //
 // Usage:
 //
@@ -30,7 +30,6 @@ func main() {
 		tasks       = flag.Int("tasks", 800, "tasks in the trial")
 		seed        = flag.Int64("seed", 1, "workload seed")
 		beta        = flag.Float64("beta", 2.0, "deadline slack coefficient")
-		preempt     = flag.Bool("preempt", false, "enable the preemption extension")
 		timelineCSV = flag.String("timeline-csv", "", "write the queue-occupancy timeline as CSV")
 		dumpTrace   = flag.String("dump-trace", "", "write the raw decision stream to this file")
 	)
@@ -41,7 +40,6 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	cfg.Preempt = *preempt
 	rec := trace.NewRecorder()
 	cfg.Trace = rec
 

@@ -69,11 +69,9 @@ type TrialAnalysis struct {
 	QueueWaitP95 int64
 
 	// Pruning behaviour.
-	DeferredTasks    int // tasks deferred at least once
-	TotalDefers      int
-	MaxDefers        int
-	PreemptedTasks   int
-	TotalPreemptions int
+	DeferredTasks int // tasks deferred at least once
+	TotalDefers   int
+	MaxDefers     int
 
 	// Per-machine utilization: busy ticks / trial span.
 	Utilization []float64
@@ -96,10 +94,6 @@ func AnalyzeTrial(tasks []*task.Task, machines []*machine.Machine, endTick int64
 			if t.Defers > a.MaxDefers {
 				a.MaxDefers = t.Defers
 			}
-		}
-		if t.Preemptions > 0 {
-			a.PreemptedTasks++
-			a.TotalPreemptions += t.Preemptions
 		}
 		switch t.State {
 		case task.StateCompleted:
@@ -175,10 +169,6 @@ func (a TrialAnalysis) Table() *report.Table {
 	t.AddRow("tasks deferred >= once", a.DeferredTasks)
 	t.AddRow("total deferrals", a.TotalDefers)
 	t.AddRow("max deferrals of one task", a.MaxDefers)
-	if a.TotalPreemptions > 0 {
-		t.AddRow("tasks preempted", a.PreemptedTasks)
-		t.AddRow("total preemptions", a.TotalPreemptions)
-	}
 	for i, u := range a.Utilization {
 		t.AddRow(fmt.Sprintf("machine %d utilization", i), fmt.Sprintf("%.1f%%", u*100))
 	}

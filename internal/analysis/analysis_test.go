@@ -51,17 +51,13 @@ func TestAnalyzeTrialOutcomes(t *testing.T) {
 	}
 }
 
-func TestAnalyzeTrialDefersAndPreemptions(t *testing.T) {
+func TestAnalyzeTrialDefers(t *testing.T) {
 	a1 := doneTask(0, task.StateCompleted, 0, 1, 2, 10)
 	a1.Defers = 3
 	a2 := doneTask(1, task.StateCompleted, 0, 1, 2, 10)
-	a2.Preemptions = 2
 	a := AnalyzeTrial([]*task.Task{a1, a2}, nil, 10)
 	if a.DeferredTasks != 1 || a.TotalDefers != 3 || a.MaxDefers != 3 {
 		t.Errorf("defer stats = %d/%d/%d", a.DeferredTasks, a.TotalDefers, a.MaxDefers)
-	}
-	if a.PreemptedTasks != 1 || a.TotalPreemptions != 2 {
-		t.Errorf("preempt stats = %d/%d", a.PreemptedTasks, a.TotalPreemptions)
 	}
 }
 

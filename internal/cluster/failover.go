@@ -16,7 +16,7 @@
 //     window bounce back after the per-dispatch detection delay and are
 //     re-dispatched under capped exponential backoff; tasks drained by the
 //     outage are held and only salvaged once the outage becomes known —
-//     at detection, or at the recovery that preempts it.
+//     at detection, or at the recovery if that comes first.
 //   - A recovered datacenter re-enters rotation only at its first
 //     post-recovery heartbeat plus the probation window.
 //
@@ -55,7 +55,7 @@ const (
 	gevTrust
 	// gevSalvage releases the tasks an undetected dc-fail drained: they
 	// re-enter the dispatcher at the tick the outage became known
-	// (detection, or the recovery that preempted it).
+	// (detection, or the recovery if that came first).
 	gevSalvage
 	// gevRedispatch retries a dispatch that bounced off a
 	// down-but-undetected datacenter, after the detection delay plus

@@ -128,43 +128,6 @@ func AblationMOCThreshold(o Options) (*Figure, error) {
 	return fig, nil
 }
 
-// ExtensionPreemption evaluates the paper's stated future work — extending
-// probabilistic pruning with task preemption. Instead of discarding an
-// executing task whose success probability fell below the dropping
-// threshold, PAM+preempt pauses it when it is still inside the gray zone
-// (success > ½·threshold), banking its progress and re-queueing it; the
-// task later resumes with only its remaining execution owed.
-//
-// The sweep runs at dropping threshold 75% (Fig. 5 shows robustness is
-// insensitive to it): under the converged 50% threshold the pruner almost
-// never drops *executing* tasks — deferral already prevented the bad
-// mappings — so preemption would have nothing to act on. That near-inertness
-// is itself a finding recorded in EXPERIMENTS.md.
-func ExtensionPreemption(o Options) (*Figure, error) {
-	matrix := SPECPET()
-	fig := &Figure{Name: "ExtPreempt", Caption: "PAM vs PAM+preemption at drop=75% (future-work extension)"}
-	for _, level := range []float64{workload.Level19k, workload.Level34k} {
-		wcfg := o.workloadConfig(level)
-		for _, preempt := range []bool{false, true} {
-			series := "PAM"
-			if preempt {
-				series = "PAM+preempt"
-			}
-			cfg := simulator.MustConfigFor("PAM", matrix)
-			pc := *cfg.Pruner
-			pc.DropThreshold = 0.75
-			cfg.Pruner = &pc
-			cfg.Preempt = preempt
-			trials, err := o.RunPoint(matrix, wcfg, cfg)
-			if err != nil {
-				return nil, fmt.Errorf("extension preempt=%v: %w", preempt, err)
-			}
-			fig.Points = append(fig.Points, NewPoint(series, workload.LevelLabel(level), trials))
-		}
-	}
-	return fig, nil
-}
-
 // ExtensionApproximate evaluates the paper's second future-work item —
 // approximately computing tasks instead of purely dropping them. A task
 // evicted at its deadline that already received at least 70% of its

@@ -17,8 +17,12 @@ import (
 // churn penalty each interval recovers (and what the per-checkpoint
 // overhead costs when nothing fails over), while the 3-DC half isolates
 // the survival question — a checkpoint that dies with its datacenter
-// (local) is worthless under dc-fail, one that replicated out (minus the
-// replication-lag window) keeps most of the drained tasks' progress.
+// (local) is worthless under dc-fail, and one that replicated out carries
+// the drained tasks' progress, minus the replication-lag window, to the
+// surviving datacenters. At paper scale that progress saves no task: at
+// 30 trials × 800 tasks, 138 tasks cross a datacenter boundary with
+// replicated credit and all 138 exit dropped, so the none, local and
+// replicated rows of the 3-DC half print the same robustness.
 
 // ckptVariant is one checkpoint policy under test.
 type ckptVariant struct {

@@ -473,7 +473,7 @@ func newProbState(ctx *Context) *probState {
 // machine — stays valid). On a miss the chain is recomputed in the arena,
 // snapshotted into the memo, and the stamp advances.
 func (c *EvalCache) tailFor(ctx *Context, i int, m *machine.Machine) *pmf.PMF {
-	ex := m.Executing()
+	ex, exec, origin := m.Head(ctx.PET)
 	if ex == nil && len(m.Pending()) == 0 {
 		// Empty machine: the tail is an impulse at the clock. Memoizing is
 		// pointless (it changes every tick) and evaluations against it are
@@ -482,27 +482,22 @@ func (c *EvalCache) tailFor(ctx *Context, i int, m *machine.Machine) *pmf.PMF {
 		c.stamps[i]++
 		return ctx.Arena.Impulse(ctx.Now)
 	}
-	key, hasExec := int64(0), ex != nil
+	// An idle head with pending work, or an overdue one (its conditioned
+	// PMF is Impulse(now)), starts the chain at the clock.
+	key, hasExec := -ctx.Now, ex != nil
 	if ex != nil {
-		// Mirror machine.TailPMF's conditioning exactly, including the
-		// degradation factor the run started under — ver pins the factor
-		// (SetSpeed bumps the version), so the key only needs the
-		// conditioned first-impulse tick of the scaled profile.
-		f := m.RunFactor()
-		exec := ctx.PET.ScaledPMF(ex.Type, m.ID, f)
-		if tick, ok := exec.FirstImpulseAt(ctx.Now - (ex.Start - pmf.ScaleDur(ex.Consumed, f))); ok {
+		// TailPMF conditions the head at the clock: ver pins the run's
+		// degradation factor (SetSpeed bumps the version), so the key only
+		// needs the conditioned first-impulse tick of the head's PMF.
+		if tick, ok := exec.FirstImpulseAt(ctx.Now - origin); ok {
 			key = tick
-		} else {
-			key = -ctx.Now // overdue: conditioned head is Impulse(now)
 		}
-	} else {
-		key = -ctx.Now // idle head with pending work: chain starts at now
 	}
 	e := &c.memo[i]
 	if !ctx.NaiveEval && e.valid && e.ver == m.Version() && e.key == key && e.hasExec == hasExec {
 		return &e.tail
 	}
-	t := m.TailPMF(ctx.Arena, ctx.Now, ctx.PET, ctx.Mode, ctx.MaxImpulses)
+	t := m.TailPMF(ctx.Arena, ctx.Now, ctx.PET, ctx.Mode, ctx.MaxImpulses, nil)
 	e.tail.CopyFrom(t)
 	e.valid, e.ver, e.key, e.hasExec = true, m.Version(), key, hasExec
 	c.stamps[i]++

@@ -220,36 +220,70 @@ func (m *Machine) BusyTicks(now int64) int64 {
 	return b
 }
 
+// Head returns the executing task (nil when idle), the execution-time PMF
+// of the degradation factor its run started under, and that PMF's origin
+// tick: Start − ScaleDur(Consumed, f), since a run restored from a
+// checkpoint starts with Consumed nominal ticks already done. The head's
+// completion PMF is the execution PMF shifted to origin and conditioned on
+// the run still going at the clock (paper Section IV).
+func (m *Machine) Head(matrix pet.View) (t *task.Task, exec *pmf.PMF, origin int64) {
+	t = m.executing
+	if t == nil {
+		return nil, nil, 0
+	}
+	f := m.runFactor
+	return t, matrix.ScaledPMF(t.Type, m.ID, f), t.Start - pmf.ScaleDur(t.Consumed, f)
+}
+
 // TailPMF returns the PMF of the tick at which the machine finishes
 // everything currently assigned to it — the tail PCT robustness-based
 // mappers convolve candidate tasks against; an impulse at now for an empty
 // machine. It chains completion-time PMFs through the executing task
-// (paper Section IV: its PET conditioned on having already run for
-// now − Start ticks) and every pending task, bounding each intermediate
-// to maxImpulses impulses (0 disables compaction). Every intermediate
-// distribution is allocated in the arena (nil falls back to the heap); the
-// result is valid until the arena's next Reset.
-func (m *Machine) TailPMF(a *pmf.Arena, now int64, matrix pet.View, mode pmf.DropMode, maxImpulses int) *pmf.PMF {
+// (Head, conditioned at now) and every pending task, bounding each
+// intermediate to maxImpulses impulses (0 disables compaction). Every
+// intermediate distribution is allocated in the arena (nil falls back to
+// the heap); the result is valid until the arena's next Reset.
+//
+// drop, when non-nil, judges each task on the way, head first (the
+// pruner's walk, paper Section V-A). It receives the task, its position
+// among the tasks kept so far (0 = first), its probability of finishing by
+// its deadline, and its completion PMF: the conditioned head before
+// eviction, or a pending task's ConvolveDrop Free. A task for which drop
+// returns true is removed from the machine and left out of the chain, so
+// the result is the tail of the tasks kept. drop must not read the
+// machine's queue, which the walk is rewriting.
+func (m *Machine) TailPMF(a *pmf.Arena, now int64, matrix pet.View, mode pmf.DropMode, maxImpulses int,
+	drop func(t *task.Task, pos int, success float64, dist *pmf.PMF) bool) *pmf.PMF {
 	prev := a.Impulse(now)
-	if m.executing != nil {
-		t := m.executing
-		// The run began at t.Start with t.Consumed ticks already banked from
-		// earlier (preempted) runs: completion = start - consumed + total
-		// duration, conditioned on not having finished yet — all in the time
-		// scale of the factor the run started under.
-		f := m.runFactor
-		free := a.ShiftConditioned(matrix.ScaledPMF(t.Type, m.ID, f), t.Start-pmf.ScaleDur(t.Consumed, f), now)
-		if mode == pmf.Evict {
-			free = a.EvictTail(free, t.Deadline)
+	pos := 0
+	if t, exec, origin := m.Head(matrix); t != nil {
+		free := a.ShiftConditioned(exec, origin, now)
+		if drop != nil && drop(t, pos, free.SuccessProb(t.Deadline), free) {
+			m.FinishExecuting(now) // prev stays: the machine is free right now
+		} else {
+			if mode == pmf.Evict {
+				free = a.EvictTail(free, t.Deadline)
+			}
+			prev = a.Compact(free, maxImpulses)
+			pos++
 		}
-		prev = a.Compact(free, maxImpulses)
 	}
+	kept := m.pending[:0]
 	for _, t := range m.pending {
-		// Consumed > 0 (preempted or restored): the matrix's cached
+		// Consumed > 0 (restored from a checkpoint): the matrix's cached
 		// conditioned view, bit-identical to RemainingAfter on the heap.
 		exec := matrix.RemainingEntry(t.Type, m.ID, m.speed, t.Consumed).PMF
 		res := a.ConvolveDrop(prev, exec, t.Deadline, mode)
+		if drop != nil && drop(t, pos, res.Success, res.Free) {
+			continue
+		}
+		kept = append(kept, t)
 		prev = a.Compact(res.Free, maxImpulses)
+		pos++
+	}
+	if len(kept) < len(m.pending) {
+		m.pending = kept
+		m.version++
 	}
 	return prev
 }
@@ -264,15 +298,13 @@ func (m *Machine) TailPMF(a *pmf.Arena, now int64, matrix pet.View, mode pmf.Dro
 // belief cell) falls back to a dense scan of the head.
 func (m *Machine) ExpectedReady(now int64, matrix pet.View) float64 {
 	ready := float64(now)
-	if m.executing != nil {
-		t := m.executing
-		f := m.runFactor
-		ready = pmf.CondMeanShifted(matrix.ScaledPMF(t.Type, m.ID, f), t.Start-pmf.ScaleDur(t.Consumed, f), now)
+	if t, exec, origin := m.Head(matrix); t != nil {
+		ready = pmf.CondMeanShifted(exec, origin, now)
 	}
 	for _, t := range m.pending {
 		if t.Consumed > 0 {
-			// Preempted/restored: the cached conditioned view's mean (its
-			// Mean field is the conditioned PMF's profiled mean, unlike
+			// Restored from a checkpoint: the cached conditioned view's mean
+			// (its Mean field is the conditioned PMF's profiled mean, unlike
 			// nominal entries whose Mean is the ground-truth gamma mean).
 			ready += matrix.RemainingEntry(t.Type, m.ID, m.speed, t.Consumed).Mean
 		} else {

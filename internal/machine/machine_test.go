@@ -3,6 +3,8 @@ package machine
 import (
 	"errors"
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"taskprune/internal/pet"
@@ -163,7 +165,7 @@ func TestTailPMFChains(t *testing.T) {
 		if i == 0 {
 			m.StartNext(0)
 		}
-		tail := m.TailPMF(nil, 0, matrix, pmf.PendingDrop, 32)
+		tail := m.TailPMF(nil, 0, matrix, pmf.PendingDrop, 32, nil)
 		if math.Abs(tail.Mass()-1) > 1e-6 {
 			t.Errorf("tail after %d tasks has mass %v", i+1, tail.Mass())
 		}
@@ -182,7 +184,7 @@ func TestTailPMFExecutingConditioned(t *testing.T) {
 	m.StartNext(0)
 	// After running 15 ticks (longer than the ~10-tick mean), the remaining
 	// completion time must be conditioned at now.
-	if tail := m.TailPMF(nil, 15, matrix, pmf.PendingDrop, 32); tail.Start() < 15 {
+	if tail := m.TailPMF(nil, 15, matrix, pmf.PendingDrop, 32, nil); tail.Start() < 15 {
 		t.Errorf("conditioned completion starts at %d, want >= 15", tail.Start())
 	}
 }
@@ -190,7 +192,7 @@ func TestTailPMFExecutingConditioned(t *testing.T) {
 func TestTailPMFIdle(t *testing.T) {
 	matrix := tinyPET(t)
 	m := New(0, "m0", 6, 0)
-	p := m.TailPMF(nil, 42, matrix, pmf.PendingDrop, 32)
+	p := m.TailPMF(nil, 42, matrix, pmf.PendingDrop, 32, nil)
 	if p.At(42) != 1 {
 		t.Errorf("idle TailPMF = %v, want impulse at 42", p)
 	}
@@ -202,9 +204,152 @@ func TestTailPMFEvictBoundedByDeadline(t *testing.T) {
 	a := mkTask(0, 0, 12) // tight deadline
 	m.Enqueue(a)
 	m.StartNext(0)
-	p := m.TailPMF(nil, 0, matrix, pmf.Evict, 32)
+	p := m.TailPMF(nil, 0, matrix, pmf.Evict, 32, nil)
 	if p.End() > 12 {
 		t.Errorf("evict free time extends to %d past deadline 12", p.End())
+	}
+}
+
+// queueSpec is a machine queue to build: tasks[0] executes when head is
+// set (started at start under runSpeed, with the machine at speed since),
+// and the rest wait in FCFS order.
+type queueSpec struct {
+	id              int
+	head            bool
+	start           int64
+	runSpeed, speed float64
+	tasks           []*task.Task
+}
+
+// randomQueue draws a queue at tick now: an idle or busy head (restored
+// credit and a mid-run speed change included), then up to five pending
+// tasks, some restored, with deadlines from already past to comfortable.
+func randomQueue(r *rand.Rand, now int64) queueSpec {
+	q := queueSpec{
+		id:       r.Intn(2),
+		head:     r.Intn(4) != 0,
+		start:    now - r.Int63n(40),
+		runSpeed: []float64{1, 1.5}[r.Intn(2)],
+		speed:    []float64{1, 2}[r.Intn(2)],
+	}
+	n := r.Intn(6)
+	if q.head {
+		n++
+	}
+	for i := 0; i < n; i++ {
+		tk := mkTask(i, task.Type(r.Intn(2)), now-5+r.Int63n(150))
+		if r.Intn(3) == 0 {
+			tk.Consumed = 1 + r.Int63n(15)
+		}
+		q.tasks = append(q.tasks, tk)
+	}
+	return q
+}
+
+// build loads a fresh machine with copies of the spec's tasks for which
+// keep(index) holds, and returns it.
+func (q queueSpec) build(keep func(i int) bool) *Machine {
+	m := New(q.id, "m", 8, 0)
+	m.SetSpeed(q.runSpeed)
+	for i, tmpl := range q.tasks {
+		if !keep(i) {
+			continue
+		}
+		tk := *tmpl
+		if err := m.Enqueue(&tk); err != nil {
+			panic(err)
+		}
+		if i == 0 && q.head {
+			m.StartNext(q.start)
+		}
+	}
+	m.SetSpeed(q.speed)
+	return m
+}
+
+// samePMF reports whether p and q hold bit-identical mass on one support.
+func samePMF(p, q *pmf.PMF) bool {
+	if p.Start() != q.Start() || p.Len() != q.Len() {
+		return false
+	}
+	for tick := p.Start(); tick <= p.End(); tick++ {
+		if math.Float64bits(p.At(tick)) != math.Float64bits(q.At(tick)) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestTailPMFDropWalk: on random queues, dropping any subset of tasks —
+// the executing head included — during the walk leaves the machine
+// holding exactly the rest, and returns the nil-callback tail of a machine
+// built with that rest. Each task is judged once, in queue order, at its
+// position among the tasks kept so far, and the queue version moves
+// exactly when something was dropped.
+func TestTailPMFDropWalk(t *testing.T) {
+	matrix := tinyPET(t)
+	a := pmf.NewArena()
+	r := rand.New(rand.NewSource(5))
+	for iter := 0; iter < 150; iter++ {
+		now := 20 + r.Int63n(60)
+		q := randomQueue(r, now)
+		mode := []pmf.DropMode{pmf.PendingDrop, pmf.Evict}[r.Intn(2)]
+		maxImp := []int{0, 8, 32}[r.Intn(3)]
+		for mask := 0; mask < 1<<len(q.tasks); mask++ {
+			dropped := func(i int) bool { return mask&(1<<i) != 0 }
+			a.Reset()
+			m := q.build(func(int) bool { return true })
+			v0 := m.Version()
+			var judged []int
+			kept := 0
+			got := m.TailPMF(a, now, matrix, mode, maxImp, func(tk *task.Task, pos int, success float64, dist *pmf.PMF) bool {
+				judged = append(judged, tk.ID)
+				if pos != kept {
+					t.Fatalf("iter %d mask %b: task %d judged at position %d, want %d", iter, mask, tk.ID, pos, kept)
+				}
+				if success < 0 || success > 1+1e-9 || dist.IsZero() {
+					t.Fatalf("iter %d mask %b: task %d judged with success %v on %v", iter, mask, tk.ID, success, dist)
+				}
+				if tk == m.Executing() && math.Float64bits(success) != math.Float64bits(dist.SuccessProb(tk.Deadline)) {
+					t.Fatalf("iter %d mask %b: head success %v is not its PMF's %v", iter, mask, success, dist.SuccessProb(tk.Deadline))
+				}
+				if dropped(tk.ID) {
+					return true
+				}
+				kept++
+				return false
+			})
+			var all, rest []int
+			for i := range q.tasks {
+				all = append(all, i)
+				if !dropped(i) {
+					rest = append(rest, i)
+				}
+			}
+			if !slices.Equal(judged, all) {
+				t.Fatalf("iter %d mask %b: judged %v, want every task once in queue order %v", iter, mask, judged, all)
+			}
+			var held []int
+			if ex := m.Executing(); ex != nil {
+				held = append(held, ex.ID)
+			}
+			for _, tk := range m.Pending() {
+				held = append(held, tk.ID)
+			}
+			if !slices.Equal(held, rest) {
+				t.Fatalf("iter %d mask %b: machine holds %v after the walk, want %v", iter, mask, held, rest)
+			}
+			if (m.Version() != v0) != (mask != 0) {
+				t.Fatalf("iter %d mask %b: version %d → %d", iter, mask, v0, m.Version())
+			}
+			want := q.build(func(i int) bool { return !dropped(i) }).TailPMF(a, now, matrix, mode, maxImp, nil)
+			if !samePMF(got, want) {
+				t.Fatalf("iter %d mask %b: walk tail %v, want the tail without the dropped tasks %v", iter, mask, got, want)
+			}
+			if again := m.TailPMF(a, now, matrix, mode, maxImp, nil); !samePMF(again, want) {
+				t.Fatalf("iter %d mask %b: machine's tail after the walk %v, want %v", iter, mask, again, want)
+			}
+		}
 	}
 }
 

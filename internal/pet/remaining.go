@@ -38,8 +38,8 @@ type remainingCache struct {
 }
 
 // maxRemainingEntries bounds the cache. Periodic checkpoint intervals
-// quantize consumed values to a handful of multiples, but on-preempt
-// restore points and replication-lag credits are arbitrary ticks — and the
+// quantize consumed values to a handful of multiples, but replication-lag
+// credits (banked progress minus the lag) are arbitrary ticks — and the
 // Matrix outlives every trial of an experiment — so past this bound a miss
 // builds a transient entry instead of storing it, trading a rare
 // recomputation for bounded memory.

@@ -358,8 +358,8 @@ func (p *PMF) ConditionAtLeast(t int64) *PMF {
 
 // RemainingAfter returns the distribution of X - c given X > c, where p is
 // the distribution of a duration X: the remaining execution time of a task
-// that has already consumed c ticks. The preemption extension uses it to
-// chain completion times of partially executed tasks. If no mass lies
+// that has already consumed c ticks. Checkpoint restore uses it to chain
+// completion times of partially executed tasks. If no mass lies
 // beyond c (the task has outrun its profile), the remainder collapses to a
 // single tick.
 func (p *PMF) RemainingAfter(c int64) *PMF {

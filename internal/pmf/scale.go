@@ -53,13 +53,3 @@ func ScaleDur(d int64, factor float64) int64 {
 	}
 	return scaleTick(d, factor)
 }
-
-// UnscaleDur converts wall-clock ticks spent on a machine with the given
-// speed factor back into nominal execution progress (floor division — a
-// preempted task never gets credited more progress than it made).
-func UnscaleDur(wall int64, factor float64) int64 {
-	if factor == 1 || wall <= 0 {
-		return wall
-	}
-	return int64(float64(wall) / factor)
-}

@@ -129,14 +129,14 @@ func (p *Pruner) Level() float64 { return p.level }
 // Events returns how many mapping events have been observed.
 func (p *Pruner) Events() int { return p.events }
 
-// DropThresholdFor computes the effective dropping threshold for a queued
+// dropThresholdFor computes the effective dropping threshold for a queued
 // task (Eq. 7): base + ρ·(−s)/(κ+1), where s is the bounded skewness of the
 // task's completion PMF and κ its queue position (0 = executing). Positive
 // skew (likely to finish early) lowers the threshold — the task is
 // protected; negative skew raises it — the task is dropped more readily;
 // and the effect decays with queue depth. sufferage (PAMF) is subtracted
 // before the adjustment. The result is clamped into [0, 1].
-func (p *Pruner) DropThresholdFor(skewness float64, position int, sufferage float64) float64 {
+func (p *Pruner) dropThresholdFor(skewness float64, position int, sufferage float64) float64 {
 	base := p.cfg.DropThreshold - sufferage
 	if p.cfg.PerTaskAdjust {
 		base += p.cfg.Rho * (-skewness) / float64(position+1)
@@ -153,7 +153,7 @@ func (p *Pruner) ShouldDrop(robustness, skewness float64, position int, sufferag
 	if !p.dropping {
 		return false
 	}
-	return robustness <= p.DropThresholdFor(skewness, position, sufferage)
+	return robustness <= p.dropThresholdFor(skewness, position, sufferage)
 }
 
 // DeferThresholdFor returns the effective deferring threshold for a task

@@ -142,11 +142,11 @@ func TestDropThresholdForEq7(t *testing.T) {
 	p := New(cfg)
 
 	// Neutral skew, any position: base threshold.
-	if got := p.DropThresholdFor(0, 0, 0); got != 0.5 {
+	if got := p.dropThresholdFor(0, 0, 0); got != 0.5 {
 		t.Errorf("neutral threshold = %v, want 0.5", got)
 	}
 	// Negative skew at the queue head: threshold rises (drop more readily).
-	head := p.DropThresholdFor(-1, 0, 0)
+	head := p.dropThresholdFor(-1, 0, 0)
 	if !(head > 0.5) {
 		t.Errorf("negative-skew head threshold = %v, want > 0.5", head)
 	}
@@ -154,23 +154,23 @@ func TestDropThresholdForEq7(t *testing.T) {
 		t.Errorf("head threshold = %v, want 0.7", head)
 	}
 	// Positive skew: threshold falls (task protected).
-	if got := p.DropThresholdFor(1, 0, 0); math.Abs(got-0.3) > 1e-12 {
+	if got := p.dropThresholdFor(1, 0, 0); math.Abs(got-0.3) > 1e-12 {
 		t.Errorf("positive-skew head threshold = %v, want 0.3", got)
 	}
 	// Effect decays with queue position.
-	deep := p.DropThresholdFor(-1, 4, 0)
+	deep := p.dropThresholdFor(-1, 4, 0)
 	if !(deep < head && deep > 0.5) {
 		t.Errorf("deep-queue threshold = %v, want in (0.5, %v)", deep, head)
 	}
 	// Sufferage relaxes the threshold.
-	if got := p.DropThresholdFor(0, 0, 0.2); math.Abs(got-0.3) > 1e-12 {
+	if got := p.dropThresholdFor(0, 0, 0.2); math.Abs(got-0.3) > 1e-12 {
 		t.Errorf("suffered threshold = %v, want 0.3", got)
 	}
 	// Clamped to [0, 1].
-	if got := p.DropThresholdFor(-1, 0, -5); got != 1 {
+	if got := p.dropThresholdFor(-1, 0, -5); got != 1 {
 		t.Errorf("threshold = %v, want clamp at 1", got)
 	}
-	if got := p.DropThresholdFor(1, 0, 1); got != 0 {
+	if got := p.dropThresholdFor(1, 0, 1); got != 0 {
 		t.Errorf("threshold = %v, want clamp at 0", got)
 	}
 }
@@ -179,7 +179,7 @@ func TestPerTaskAdjustDisabled(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.PerTaskAdjust = false
 	p := New(cfg)
-	if got := p.DropThresholdFor(-1, 0, 0); got != cfg.DropThreshold {
+	if got := p.dropThresholdFor(-1, 0, 0); got != cfg.DropThreshold {
 		t.Errorf("uniform threshold = %v, want %v", got, cfg.DropThreshold)
 	}
 }
@@ -231,7 +231,7 @@ func TestPropThresholdBounds(t *testing.T) {
 			pos = -pos
 		}
 		s := math.Mod(skew, 1)
-		th := p.DropThresholdFor(s, pos%6, math.Mod(suff, 1))
+		th := p.dropThresholdFor(s, pos%6, math.Mod(suff, 1))
 		return th >= 0 && th <= 1
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {

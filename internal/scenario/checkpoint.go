@@ -11,9 +11,8 @@ package scenario
 //
 // Progress is measured in *nominal* execution ticks (the machine-independent
 // credit task.Task.Consumed carries): a checkpoint written on one machine
-// restores on any other, exactly like the preemption extension's banked
-// progress. Checkpoint overhead, by contrast, is wall-clock ticks spent on
-// the executing machine per checkpoint written.
+// restores on any other. Checkpoint overhead, by contrast, is wall-clock
+// ticks spent on the executing machine per checkpoint written.
 
 import "fmt"
 
@@ -30,12 +29,6 @@ const (
 	// task restores at its last *completed* checkpoint — progress past it,
 	// and a checkpoint still being written, are lost.
 	CheckpointPeriodic
-	// CheckpointOnPreempt writes a checkpoint only when the pruner pauses
-	// an executing task (the preemption extension's scheduling pause
-	// already serializes the task's state): banked progress survives later
-	// machine failures, but a run interrupted by failure loses everything
-	// since its last pause.
-	CheckpointOnPreempt
 )
 
 // String implements fmt.Stringer.
@@ -45,8 +38,6 @@ func (k CheckpointKind) String() string {
 		return "none"
 	case CheckpointPeriodic:
 		return "periodic"
-	case CheckpointOnPreempt:
-		return "on-preempt"
 	default:
 		return fmt.Sprintf("CheckpointKind(%d)", int(k))
 	}
@@ -97,11 +88,8 @@ type CheckpointPolicy struct {
 	ReplicationLag int64
 }
 
-// Enabled reports whether the policy checkpoints anything (nil-safe).
-func (p *CheckpointPolicy) Enabled() bool { return p != nil && p.Kind != CheckpointNone }
-
-// Periodic reports whether the policy writes interval checkpoints (nil-safe).
-func (p *CheckpointPolicy) Periodic() bool { return p != nil && p.Kind == CheckpointPeriodic }
+// Enabled reports whether the policy writes interval checkpoints (nil-safe).
+func (p *CheckpointPolicy) Enabled() bool { return p != nil && p.Kind == CheckpointPeriodic }
 
 // Validate rejects malformed policies: a periodic policy needs a positive
 // interval, overheads and lags cannot be negative, and interval/overhead
@@ -111,7 +99,7 @@ func (p *CheckpointPolicy) Validate() error {
 		return nil
 	}
 	switch p.Kind {
-	case CheckpointNone, CheckpointPeriodic, CheckpointOnPreempt:
+	case CheckpointNone, CheckpointPeriodic:
 	default:
 		return fmt.Errorf("checkpoint: unknown kind %d", int(p.Kind))
 	}
@@ -142,9 +130,9 @@ func (p *CheckpointPolicy) Validate() error {
 // advancing cumulative nominal progress from `from` (exclusive) to `total`
 // (exclusive): checkpoints sit at every multiple of Interval, and one
 // landing exactly at completion is never written — the task just finishes.
-// Non-periodic policies cross none (nil-safe).
+// Disabled policies cross none (nil-safe).
 func (p *CheckpointPolicy) PointsWithin(from, total int64) int64 {
-	if !p.Periodic() || total <= from {
+	if !p.Enabled() || total <= from {
 		return 0
 	}
 	n := (total-1)/p.Interval - from/p.Interval
@@ -178,9 +166,6 @@ func (p *CheckpointPolicy) String() string {
 	if !p.Enabled() {
 		return "checkpoint=none"
 	}
-	if p.Kind == CheckpointOnPreempt {
-		return fmt.Sprintf("checkpoint=on-preempt/%s", p.Survival)
-	}
 	return fmt.Sprintf("checkpoint=every %d (+%d) %s", p.Interval, p.Overhead, p.Survival)
 }
 
@@ -206,8 +191,6 @@ func parseCheckpoint(jc *jsonCheckpoint) (*CheckpointPolicy, error) {
 		p.Kind = CheckpointNone
 	case "periodic":
 		p.Kind = CheckpointPeriodic
-	case "on-preempt":
-		p.Kind = CheckpointOnPreempt
 	default:
 		return nil, fmt.Errorf("scenario: checkpoint has unknown kind %q", jc.Kind)
 	}

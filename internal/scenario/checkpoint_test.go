@@ -14,8 +14,6 @@ func TestCheckpointPolicyValidate(t *testing.T) {
 		{Kind: CheckpointPeriodic, Interval: 10},
 		{Kind: CheckpointPeriodic, Interval: 10, Overhead: 3},
 		{Kind: CheckpointPeriodic, Interval: 1, Survival: SurviveReplicated, ReplicationLag: 5},
-		{Kind: CheckpointOnPreempt},
-		{Kind: CheckpointOnPreempt, Survival: SurviveReplicated, ReplicationLag: 2},
 	}
 	for i, p := range valid {
 		if err := p.Validate(); err != nil {
@@ -32,7 +30,7 @@ func TestCheckpointPolicyValidate(t *testing.T) {
 		{Kind: CheckpointPeriodic, Interval: -5},               // negative interval
 		{Kind: CheckpointPeriodic, Interval: 10, Overhead: -1}, // negative overhead
 		{Kind: CheckpointPeriodic, Interval: 10, Survival: SurvivalMode(7)},
-		{Kind: CheckpointOnPreempt, Interval: 10},                   // interval without periodic
+		{Kind: CheckpointNone, Interval: 10},                        // interval without periodic
 		{Kind: CheckpointNone, Overhead: 3},                         // overhead without periodic
 		{Kind: CheckpointPeriodic, Interval: 10, ReplicationLag: 5}, // lag without replication
 		{Kind: CheckpointPeriodic, Interval: 10, Survival: SurviveReplicated, ReplicationLag: -1},
@@ -63,7 +61,7 @@ func TestCheckpointPointsWithin(t *testing.T) {
 			t.Errorf("PointsWithin(%d, %d) = %d, want %d", c.from, c.total, got, c.want)
 		}
 	}
-	none := &CheckpointPolicy{Kind: CheckpointOnPreempt}
+	none := &CheckpointPolicy{Kind: CheckpointNone}
 	if got := none.PointsWithin(0, 100); got != 0 {
 		t.Errorf("non-periodic PointsWithin = %d, want 0", got)
 	}
@@ -91,9 +89,9 @@ func TestCheckpointFailoverCredit(t *testing.T) {
 			t.Errorf("replicated FailoverCredit(%d) = %d, want %d", c.banked, got, c.want)
 		}
 	}
-	preempt := &CheckpointPolicy{Kind: CheckpointOnPreempt, Survival: SurviveReplicated, ReplicationLag: 3}
-	if got := preempt.FailoverCredit(10); got != 7 {
-		t.Errorf("on-preempt replicated credit = %d, want 7 (no interval to floor to)", got)
+	none := &CheckpointPolicy{Kind: CheckpointNone, Survival: SurviveReplicated}
+	if got := none.FailoverCredit(10); got != 0 {
+		t.Errorf("disabled policy credit = %d, want 0 (nothing was checkpointed)", got)
 	}
 	var nilPolicy *CheckpointPolicy
 	if got := nilPolicy.FailoverCredit(50); got != 0 {
@@ -143,12 +141,18 @@ func TestCheckpointJSONRejections(t *testing.T) {
 			t.Errorf("parser accepted %s", src)
 		}
 	}
+	// The wire format knows two kinds, none and periodic; any other gets
+	// the unknown-kind error.
+	if _, err := Parse(strings.NewReader(`{"checkpoint":{"kind":"on-preempt"}}`)); err == nil ||
+		!strings.Contains(err.Error(), `checkpoint has unknown kind "on-preempt"`) {
+		t.Errorf("on-preempt kind: err = %v, want the unknown-kind error", err)
+	}
 	// Structurally fine JSON whose policy fails fleet-independent validation.
 	validateFail := []string{
 		`{"checkpoint":{"kind":"periodic"}}`,                                   // no interval
 		`{"checkpoint":{"kind":"periodic","interval":-3}}`,                     // negative interval
 		`{"checkpoint":{"kind":"periodic","interval":10,"overhead":-1}}`,       // negative overhead
-		`{"checkpoint":{"kind":"on-preempt","interval":10}}`,                   // interval without periodic
+		`{"checkpoint":{"kind":"none","interval":10}}`,                         // interval without periodic
 		`{"checkpoint":{"kind":"periodic","interval":10,"replication_lag":4}}`, // lag without replication
 	}
 	for _, src := range validateFail {

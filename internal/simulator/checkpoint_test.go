@@ -161,20 +161,21 @@ func TestCheckpointMidWriteLost(t *testing.T) {
 	}
 }
 
-// TestCheckpointOnPreemptKeepsBankedCredit: under the on-preempt kind a
-// failed run loses progress since its start, but credit banked by earlier
-// pauses survives the failure (that is the whole point of the kind).
-func TestCheckpointOnPreemptKeepsBankedCredit(t *testing.T) {
+// TestCheckpointUnreachedIntervalKeepsRunStartCredit: a run that writes no
+// checkpoint before its machine fails — interval 100 against the 23 ticks
+// the run owes — loses the progress it made since it started, but the
+// credit it started with survives the failure.
+func TestCheckpointUnreachedIntervalKeepsRunStartCredit(t *testing.T) {
 	matrix := simPET(t)
 	cfg := baseConfig(t, "MM", matrix)
 	cfg.Scenario = scenario.New("fail").FailAt(12, 0, scenario.Requeue)
-	cfg.Checkpoint = &scenario.CheckpointPolicy{Kind: scenario.CheckpointOnPreempt}
+	cfg.Checkpoint = periodic(100, 0)
 	sim, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	tk := fixedTask(0, 0, 0, 10_000, 30)
-	tk.Consumed = 7 // banked by an earlier preemption pause elsewhere
+	tk.Consumed = 7 // restored from an earlier checkpoint elsewhere
 	if _, err := sim.Run([]*task.Task{tk}); err != nil {
 		t.Fatal(err)
 	}
@@ -182,10 +183,13 @@ func TestCheckpointOnPreemptKeepsBankedCredit(t *testing.T) {
 		t.Fatalf("task on m%d in state %v, want completed on survivor m1", tk.Machine, tk.State)
 	}
 	if tk.Consumed != 7 {
-		t.Fatalf("consumed %d after failure, want the banked 7 (progress since run start lost, pause credit kept)", tk.Consumed)
+		t.Fatalf("consumed %d after failure, want the run-start 7 (progress since run start lost, credit kept)", tk.Consumed)
 	}
 	if tk.Finish != 12+23 {
 		t.Fatalf("finish %d, want 35 (remaining 23 on the survivor from tick 12)", tk.Finish)
+	}
+	if tk.Checkpoints != 0 || sim.Checkpoints() != 0 {
+		t.Fatalf("checkpoints task=%d sim=%d, want none (no interval point reached)", tk.Checkpoints, sim.Checkpoints())
 	}
 	if sim.Restored() != 1 {
 		t.Fatalf("restored %d, want 1", sim.Restored())

@@ -62,7 +62,9 @@ func TestRandomizedInvariants(t *testing.T) {
 			pc.UseSchmitt = r.Intn(2) == 0
 			pc.PerTaskAdjust = r.Intn(2) == 0
 			cfg.Pruner = &pc
-			cfg.Preempt = r.Intn(2) == 0
+			// An unused draw: removing it would shift every configuration
+			// drawn after it.
+			r.Intn(2)
 			if r.Intn(2) == 0 {
 				cfg.ApproxFraction = 0.3 + 0.6*r.Float64()
 			}

@@ -91,6 +91,41 @@ func TestScenarioFailureAtCompletionTick(t *testing.T) {
 	}
 }
 
+// TestStaleEventAfterFailureRestart: a task whose machine fails and
+// recovers a tick later restarts on that same machine while the completion
+// event of its first run (due at 30) is still queued. The stale event must
+// not complete the new run early, whether the run restarts from zero or
+// from checkpointed credit.
+func TestStaleEventAfterFailureRestart(t *testing.T) {
+	matrix := simPET(t)
+	for _, tc := range []struct {
+		name   string
+		policy *scenario.CheckpointPolicy
+		finish int64
+	}{
+		{"none", nil, 13 + 30},                // full restart at 13
+		{"periodic", periodic(5, 0), 13 + 20}, // restored at 10 of 30
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := baseConfig(t, "MM", matrix)
+			cfg.Machines = []int{0} // a one-machine fleet: the task can only restart there
+			cfg.Scenario = scenario.New("blip").FailAt(12, 0, scenario.Requeue).RecoverAt(13, 0)
+			cfg.Checkpoint = tc.policy
+			sim, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tk := fixedTask(0, 0, 0, 10_000, 30)
+			if _, err := sim.Run([]*task.Task{tk}); err != nil {
+				t.Fatal(err)
+			}
+			if tk.State != task.StateCompleted || tk.Start != 13 || tk.Finish != tc.finish {
+				t.Fatalf("state %v start %d finish %d, want completed from 13 at %d", tk.State, tk.Start, tk.Finish, tc.finish)
+			}
+		})
+	}
+}
+
 // TestScenarioFailureDropPolicy: under the drop policy the failing
 // machine's tasks exit the system.
 func TestScenarioFailureDropPolicy(t *testing.T) {

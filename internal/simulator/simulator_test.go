@@ -387,6 +387,94 @@ func TestStaleCompletionIgnored(t *testing.T) {
 	}
 }
 
+// TestPrunerConfigInteraction: with pruning disabled entirely (nil
+// config), even a pruning-aware heuristic runs without a pruner and prunes
+// nothing.
+func TestPrunerConfigInteraction(t *testing.T) {
+	matrix := simPET(t)
+	cfg := baseConfig(t, "PAM", matrix)
+	cfg.Pruner = nil // pruning off
+	sim, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tasks, err := workload.Generate(workload.Config{NumTasks: 150, Rate: 0.3, VarFrac: 0.1, Beta: 2}, matrix, stats.NewRNG(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sim.Run(tasks); err != nil {
+		t.Fatal(err)
+	}
+	if sim.Pruner() != nil {
+		t.Error("pruner built despite nil config")
+	}
+	if sim.DroppedByPruner() != 0 {
+		t.Errorf("%d tasks pruned without a pruner", sim.DroppedByPruner())
+	}
+}
+
+// TestPruneExitsBeforeNextVerdict: the pruner judges a queue's tasks one
+// at a time, and a dropped task exits before the next is judged, so
+// PAMF's sufferage for the tasks behind it already counts the drop. One
+// machine at tick 100 runs head a (type 0, hopeless: deadline 101) with b
+// (type 0) queued, b's deadline chosen so that its success probability
+// behind the dropped head lies in (0, 0.3). With ϑ = 1, a's drop raises
+// type 0's sufferage to 1 and b's Eq. 7 threshold to clamp(0.5 − 1 ±
+// 0.2) = 0, so b stays; judged before a's exit, b would face a threshold
+// of at least 0.3 and go too. Under PAM (no sufferage) both go.
+func TestPruneExitsBeforeNextVerdict(t *testing.T) {
+	matrix := simPET(t)
+	const now = 100
+	exec := matrix.PMF(0, 0)
+	deadline := int64(-1)
+	for tick := exec.Start(); tick <= exec.End(); tick++ {
+		if p := exec.CDF(tick); p > 0 && p < 0.3 {
+			deadline = now + tick
+		}
+	}
+	if deadline < 0 {
+		t.Fatalf("no tick of the type-0 PMF on machine 0 has a CDF in (0, 0.3): %v", exec)
+	}
+	for _, tc := range []struct {
+		name    string
+		theta   float64
+		dropped int
+		b       task.State
+	}{{"PAMF", 1, 1, task.StateQueued}, {"PAM", 0, 2, task.StateDropped}} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := baseConfig(t, tc.name, matrix)
+			cfg.FairnessFactor = tc.theta
+			pc := *cfg.Pruner
+			pc.ToggleOn = 0 // dropping engages at the first mapping event
+			cfg.Pruner = &pc
+			sim, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sim.Begin(nil)
+			sim.now = now
+			m := sim.Machines()[0]
+			a, b := fixedTask(0, 0, 0, now+1, 10), fixedTask(1, 0, 0, deadline, 10)
+			for _, tk := range []*task.Task{a, b} {
+				if err := m.Enqueue(tk); err != nil {
+					t.Fatal(err)
+				}
+			}
+			m.StartNext(now)
+			if !sim.pruner.ObserveMappingEvent(0) {
+				t.Fatal("pruner not dropping")
+			}
+			sim.pruneQueues()
+			if a.State != task.StateDropped {
+				t.Fatalf("hopeless head a is %v, want dropped", a.State)
+			}
+			if got := sim.DroppedByPruner(); got != tc.dropped || b.State != tc.b {
+				t.Fatalf("pruner dropped %d tasks with b %v, want %d with b %v", got, b.State, tc.dropped, tc.b)
+			}
+		})
+	}
+}
+
 // TestMappingEventsFire: mapping events occur on arrivals and completions.
 func TestMappingEventsFire(t *testing.T) {
 	matrix := simPET(t)

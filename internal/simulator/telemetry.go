@@ -18,7 +18,6 @@ type simProbes struct {
 	// Sample-time mirrors of pre-existing engine counters.
 	prunerDrops *telemetry.Counter
 	evicted     *telemetry.Counter
-	preempted   *telemetry.Counter
 	requeued    *telemetry.Counter
 	restored    *telemetry.Counter
 	checkpoints *telemetry.Counter
@@ -51,7 +50,6 @@ func newSimProbes(r *telemetry.Registry) simProbes {
 		mappingEvents: r.Counter("mapping_events_total", "mapping events fired"),
 		prunerDrops:   r.Counter("pruner_drops_total", "tasks dropped by the pruning mechanism"),
 		evicted:       r.Counter("evicted_total", "executing tasks killed at their deadlines"),
-		preempted:     r.Counter("preempted_total", "pruner preemptions (gray-zone pauses)"),
 		requeued:      r.Counter("requeued_total", "tasks requeued by machine/DC failures"),
 		restored:      r.Counter("restored_total", "failure requeues resumed from a checkpoint"),
 		checkpoints:   r.Counter("checkpoints_total", "checkpoint writes"),
@@ -88,7 +86,6 @@ func (s *Simulator) prepareSample() {
 	p.arenaHW.Set(float64(s.arena.HighWater()))
 	p.prunerDrops.Sync(int64(s.droppedByPruner))
 	p.evicted.Sync(int64(s.evicted))
-	p.preempted.Sync(int64(s.preempted))
 	p.requeued.Sync(int64(s.requeued))
 	p.restored.Sync(int64(s.restored))
 	p.checkpoints.Sync(int64(s.checkpoints))

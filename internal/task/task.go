@@ -76,11 +76,10 @@ type Task struct {
 	Finish  int64 // tick the task left the system (completed/missed/dropped)
 	Defers  int   // number of times the pruner deferred mapping this task
 
-	// Preemption extension (the paper's stated future work): Consumed is
-	// how many ticks of execution the task has already received across
-	// earlier (preempted) runs; Preemptions counts how often it was paused.
-	Consumed    int64
-	Preemptions int
+	// Consumed is the nominal execution progress the task carries into
+	// its next run: the credit a checkpoint restore (or a cross-DC
+	// failover of that credit) left it with, zero otherwise.
+	Consumed int64
 
 	// Checkpoint/restore state: LastCheckpoint is the cumulative nominal
 	// progress (in the same machine-independent ticks as Consumed) at the

@@ -30,6 +30,21 @@ func TestExpired(t *testing.T) {
 	}
 }
 
+// TestRemaining: a task carrying Consumed credit owes only the rest of its
+// true execution time, and never less than one tick.
+func TestRemaining(t *testing.T) {
+	tk := New(0, 0, 0, 100)
+	tk.TrueExec = []int64{40, 40}
+	tk.Consumed = 25
+	if got := tk.Remaining(0); got != 15 {
+		t.Errorf("Remaining = %d, want 15", got)
+	}
+	tk.Consumed = 45 // credit banked on a machine where the task runs longer
+	if got := tk.Remaining(0); got != 1 {
+		t.Errorf("over-consumed Remaining = %d, want 1 (floor)", got)
+	}
+}
+
 func TestDone(t *testing.T) {
 	tk := New(0, 0, 0, 100)
 	cases := []struct {

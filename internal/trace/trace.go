@@ -29,9 +29,6 @@ const (
 	TaskMissed
 	// TaskDropped: a task was removed (expired, pruned, or evicted).
 	TaskDropped
-	// TaskPreempted: the pruner paused an executing task, re-queueing it
-	// with its progress retained (preemption extension).
-	TaskPreempted
 	// PrunerEngaged: the oversubscription detector switched dropping on.
 	PrunerEngaged
 	// PrunerDisengaged: the detector switched dropping off.
@@ -73,8 +70,6 @@ func (k Kind) String() string {
 		return "missed"
 	case TaskDropped:
 		return "dropped"
-	case TaskPreempted:
-		return "preempted"
 	case PrunerEngaged:
 		return "pruner-on"
 	case PrunerDisengaged:
