@@ -159,14 +159,16 @@ lint:
 
 # Quick throughput/allocation smoke: one full trial per heuristic class
 # (single-fleet and sharded), one PAM mapping event (all-deferred,
-# near-threshold and mixed) and one MM mapping event, one dispatch
-# decision per routing policy, and the convolution-core allocation guards.
+# near-threshold and mixed) and one MM mapping event, one walk of a full
+# machine queue (tail rebuild and pruner pass), one dispatch decision per
+# routing policy, and the convolution-core allocation guards.
 # The cluster trials run several iterations so the reported numbers are
 # warm steady state, not first-run cache warm-up.
 bench-smoke:
 	$(GO) test -run xxx -bench SingleTrial -benchtime 1x -benchmem .
 	$(GO) test -run xxx -bench ClusterTrial -benchtime 5x -benchmem .
 	$(GO) test -run xxx -bench MapEvent -benchtime 200x -benchmem ./internal/heuristics/
+	$(GO) test -run xxx -bench TailPMF -benchtime 2000x -benchmem ./internal/machine/
 	$(GO) test -run xxx -bench Pick -benchtime 2000x -benchmem ./internal/cluster/
 	$(GO) test -run xxx -bench Convolve -benchtime 100x -benchmem ./internal/pmf/
 

@@ -580,8 +580,7 @@ func (s *probState) commit(ctx *Context, t *task.Task, mi int) {
 	if err := ctx.Machines[mi].Enqueue(t); err != nil {
 		panic(fmt.Sprintf("heuristics: commit to full machine %d: %v", mi, err))
 	}
-	res := s.arena.ConvolveDrop(s.tails[mi], ctx.TaskExecPMF(t, mi), t.Deadline, ctx.Mode)
-	s.tails[mi] = s.arena.Compact(res.Free, ctx.MaxImpulses)
+	s.tails[mi] = s.arena.ChainStep(s.tails[mi], ctx.TaskExecPMF(t, mi), t.Deadline, ctx.Mode, ctx.MaxImpulses)
 	s.bounds[mi].Set(s.tails[mi])
 	s.cache.stamps[mi]++ // one column of cached evaluations dies, no more
 	s.cache.Forget(t.ID)

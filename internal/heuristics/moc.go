@@ -91,8 +91,7 @@ func (h MOC) Map(ctx *Context, batch []*task.Task) Result {
 			bestTotal := -1.0
 			for pick, cand := range top {
 				tc := remaining[cand.taskIdx]
-				full := st.arena.ConvolveDrop(st.tails[cand.machine], ctx.TaskExecPMF(tc, cand.machine), tc.Deadline, ctx.Mode)
-				tail := st.arena.Compact(full.Free, ctx.MaxImpulses)
+				tail := st.arena.ChainStep(st.tails[cand.machine], ctx.TaskExecPMF(tc, cand.machine), tc.Deadline, ctx.Mode, ctx.MaxImpulses)
 				total := cand.ev.success
 				for other, p := range top {
 					if other == pick {

@@ -273,12 +273,19 @@ func (m *Machine) TailPMF(a *pmf.Arena, now int64, matrix pet.View, mode pmf.Dro
 		// Consumed > 0 (restored from a checkpoint): the matrix's cached
 		// conditioned view, bit-identical to RemainingAfter on the heap.
 		exec := matrix.RemainingEntry(t.Type, m.ID, m.speed, t.Consumed).PMF
-		res := a.ConvolveDrop(prev, exec, t.Deadline, mode)
-		if drop != nil && drop(t, pos, res.Success, res.Free) {
-			continue
+		var next *pmf.PMF
+		if drop == nil {
+			// Nothing reads the task's success: the chain step skips it.
+			next = a.ChainStep(prev, exec, t.Deadline, mode, maxImpulses)
+		} else {
+			res := a.ConvolveDrop(prev, exec, t.Deadline, mode)
+			if drop(t, pos, res.Success, res.Free) {
+				continue
+			}
+			next = a.Compact(res.Free, maxImpulses)
 		}
 		kept = append(kept, t)
-		prev = a.Compact(res.Free, maxImpulses)
+		prev = next
 		pos++
 	}
 	if len(kept) < len(m.pending) {

@@ -47,6 +47,25 @@ func TestArenaConvolveDropAllocFree(t *testing.T) {
 	}
 }
 
+// TestArenaChainStepAllocFree: the chain step — a tail rebuild's, a
+// commit's and MOC's permutation search's link — must be allocation-free
+// once the arena holds its block, in every drop mode.
+func TestArenaChainStepAllocFree(t *testing.T) {
+	tail, exec := benchPMFs()
+	deadline := tail.Start() + 150
+	a := NewArena()
+	for _, mode := range []DropMode{NoDrop, PendingDrop, Evict} {
+		_ = a.ChainStep(tail, exec, deadline, mode, DefaultMaxImpulses)
+		a.Reset() // retains one block: steady state reached
+		if n := testing.AllocsPerRun(100, func() {
+			_ = a.ChainStep(tail, exec, deadline, mode, DefaultMaxImpulses)
+			a.Reset()
+		}); n != 0 {
+			t.Errorf("%v: arena ChainStep allocates %.1f objects per cycle, want 0", mode, n)
+		}
+	}
+}
+
 // TestSuccessBoundAllocFree: phase one summarises every machine's tail at
 // every mapping event, so Set and Below must not allocate, neither on a
 // compacted (sparse) tail nor on a dense one wider than any stack buffer.

@@ -122,13 +122,22 @@ func (a *Arena) hdr() *PMF {
 // wrap adopts probs into an arena-owned PMF header, trimming zero edges
 // exactly like the package-level wrap.
 func (a *Arena) wrap(start int64, probs []float64) *PMF {
-	lo := 0
-	for lo < len(probs) && probs[lo] == 0 {
+	return a.wrapTo(start, probs, len(probs))
+}
+
+// wrapTo is wrap for a buffer known to hold no mass from index end on: the
+// trailing trim starts at end instead of at the buffer's end, and the
+// result is the same.
+func (a *Arena) wrapTo(start int64, probs []float64, end int) *PMF {
+	lo, hi := 0, end
+	for lo < hi && probs[lo] == 0 {
 		lo++
 	}
-	hi := len(probs)
 	for hi > lo && probs[hi-1] == 0 {
 		hi--
+	}
+	if lo == hi {
+		lo, hi = len(probs), len(probs) // no mass: the start a full scan gives
 	}
 	p := a.hdr()
 	p.start = start + int64(lo)

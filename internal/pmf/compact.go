@@ -33,9 +33,18 @@ func (a *Arena) Compact(p *PMF, maxImpulses int) *PMF {
 		ticks = make([]int64, 0, groups)
 		masses = make([]float64, 0, groups)
 	}
+	// Group g spans [g·n/groups, (g+1)·n/groups). The bounds step by the
+	// quotient q, plus one whenever the running remainder wraps: the same
+	// integers, with no division per group.
+	q, r := n/groups, n%groups
+	end, rem := 0, 0
 	for g := 0; g < groups; g++ {
-		lo := g * n / groups
-		hi := (g + 1) * n / groups
+		lo := end
+		end += q
+		if rem += r; rem >= groups {
+			rem -= groups
+			end++
+		}
 		var mass, center float64
 		// The group scan dominates compaction cost: sub-slicing drops the
 		// per-element bounds checks, the incremental float tick is exact
@@ -44,7 +53,7 @@ func (a *Arena) Compact(p *PMF, maxImpulses int) *PMF {
 		// accumulators, so the sums match a zero-skipping scan bit for bit
 		// while the loop pipelines without mispredictions.
 		x := float64(p.start + int64(lo))
-		for _, v := range p.probs[lo:hi] {
+		for _, v := range p.probs[lo:end] {
 			mass += v
 			center += v * x
 			x++

@@ -159,9 +159,11 @@ func dropBounds(prev, exec *PMF, deadline int64) (outLo, outHi int64) {
 }
 
 // convolveDropCore runs the PendingDrop/Evict convolution into buf (zeroed,
-// spanning [outLo, outHi] per dropBounds) and returns the success
-// probability. It is the core of Arena.ConvolveDrop.
-func convolveDropCore(buf []float64, outLo int64, prev, exec *PMF, deadline int64, mode DropMode) float64 {
+// spanning [outLo, outHi] per dropBounds). It returns the success
+// probability when withSuccess is set (0 otherwise), and end: every slot
+// after buf[end] is zero, so trimming may start there. It is the core of
+// Arena.ConvolveDrop and Arena.ChainStep.
+func convolveDropCore(buf []float64, outLo int64, prev, exec *PMF, deadline int64, mode DropMode, withSuccess bool) (success float64, end int64) {
 	// Predecessor slots split at the deadline: indices below cut start the
 	// task (they convolve with exec), indices at or above carry through
 	// untouched. prev's support — and its nz index — is ascending, so one
@@ -181,12 +183,17 @@ func convolveDropCore(buf []float64, outLo int64, prev, exec *PMF, deadline int6
 	}
 
 	// Execution part (Eq. 3's helper f): convolve only predecessor
-	// completions strictly before the deadline.
+	// completions strictly before the deadline. execEnd is the last slot a
+	// row reaches (−1 without rows): the buffer is zero after it.
 	ew := int64(len(exec.probs))
+	execEnd := int64(-1)
 	if nz != nil {
 		for _, off := range nz[:nzCut] {
 			base := prev.start + int64(off) + exec.start - outLo
 			accumRow(buf[base:base+ew], prev.probs[off], exec)
+		}
+		if nzCut > 0 {
+			execEnd = prev.start + int64(nz[nzCut-1]) + exec.start - outLo + ew - 1
 		}
 	} else {
 		for i, a := range prev.probs[:cut] {
@@ -196,33 +203,42 @@ func convolveDropCore(buf []float64, outLo int64, prev, exec *PMF, deadline int6
 			base := prev.start + int64(i) + exec.start - outLo
 			accumRow(buf[base:base+ew], a, exec)
 		}
+		if cut > 0 {
+			execEnd = prev.start + cut - 1 + exec.start - outLo + ew - 1
+		}
 	}
 
 	// Success (Eq. 1): execution mass landing at or before the deadline.
-	var success float64
 	dlIdx := deadline - outLo
-	limit := dlIdx
-	if limit >= int64(len(buf)) {
-		limit = int64(len(buf)) - 1
-	}
-	for _, v := range buf[:limit+1] {
-		success += v
-	}
-	if success > 1 {
-		success = 1 // floating-point accumulation guard
+	if withSuccess {
+		limit := dlIdx
+		if limit >= int64(len(buf)) {
+			limit = int64(len(buf)) - 1
+		}
+		for _, v := range buf[:limit+1] {
+			success += v
+		}
+		if success > 1 {
+			success = 1 // floating-point accumulation guard
+		}
 	}
 
+	end = execEnd
 	if mode == Evict {
 		// Eq. 5: execution mass strictly after the deadline collapses onto
 		// an impulse at the deadline — the task is killed at δi and the
-		// machine freed.
-		var late float64
-		tail := buf[dlIdx+1:]
-		for _, v := range tail {
-			late += v
+		// machine freed. Slots past execEnd hold no mass yet, so the late
+		// sum stops there (adding their +0.0 would change no bit).
+		if execEnd > dlIdx {
+			var late float64
+			tail := buf[dlIdx+1 : execEnd+1]
+			for _, v := range tail {
+				late += v
+			}
+			clear(tail)
+			buf[dlIdx] += late
+			end = dlIdx
 		}
-		clear(tail)
-		buf[dlIdx] += late
 	} else if mode != PendingDrop {
 		panic(fmt.Sprintf("pmf: unknown drop mode %v", mode))
 	}
@@ -242,7 +258,10 @@ func convolveDropCore(buf []float64, outLo int64, prev, exec *PMF, deadline int6
 			buf[base+int64(i)] += a
 		}
 	}
-	return success
+	if cut < int64(len(prev.probs)) {
+		end = max(end, prev.End()-outLo)
+	}
+	return success, end
 }
 
 // ConvolveDrop convolves the predecessor's machine-free-time PMF (prev)
@@ -276,6 +295,25 @@ func (a *Arena) ConvolveDrop(prev, exec *PMF, deadline int64, mode DropMode) Res
 	}
 	outLo, outHi := dropBounds(prev, exec, deadline)
 	buf := a.Floats(int(outHi - outLo + 1))
-	success := convolveDropCore(buf, outLo, prev, exec, deadline, mode)
-	return Result{Free: a.wrap(outLo, buf), Success: success}
+	success, end := convolveDropCore(buf, outLo, prev, exec, deadline, mode, true)
+	return Result{Free: a.wrapTo(outLo, buf, int(end)+1), Success: success}
+}
+
+// ChainStep is one link of a queue's completion chain:
+// Compact(ConvolveDrop(prev, exec, deadline, mode).Free, maxImpulses), bit
+// for bit, without the success sum. Tail rebuilds, commits and MOC's
+// permutation search read only the chained PMF; the pruner's walk, which
+// also reads the task's success, calls ConvolveDrop. The result is valid
+// until the arena's next Reset; a nil arena allocates it on the heap.
+func (a *Arena) ChainStep(prev, exec *PMF, deadline int64, mode DropMode, maxImpulses int) *PMF {
+	if mode == NoDrop {
+		return a.Compact(a.Convolve(prev, exec), maxImpulses)
+	}
+	if prev.IsZero() || exec.IsZero() {
+		return a.hdr()
+	}
+	outLo, outHi := dropBounds(prev, exec, deadline)
+	buf := a.Floats(int(outHi - outLo + 1))
+	_, end := convolveDropCore(buf, outLo, prev, exec, deadline, mode, false)
+	return a.Compact(a.wrapTo(outLo, buf, int(end)+1), maxImpulses)
 }

@@ -294,13 +294,23 @@ func (b *SuccessBound) Set(tail *PMF) {
 	if tail.IsZero() {
 		return
 	}
+	// Group g holds impulses g·count/n up to (g+1)·count/n. As in Compact,
+	// the bounds step by the quotient and a running remainder instead of
+	// dividing per group.
 	if nz := tail.nz; nz != nil {
 		b.n = min(boundGroups, len(nz))
+		q, r := len(nz)/b.n, len(nz)%b.n
+		end, rem := 0, 0
 		for g := range b.n {
-			lo, hi := g*len(nz)/b.n, (g+1)*len(nz)/b.n
+			lo := end
+			end += q
+			if rem += r; rem >= b.n {
+				rem -= b.n
+				end++
+			}
 			b.tick[g] = tail.start + int64(nz[lo])
 			var m float64
-			for _, off := range nz[lo:hi] {
+			for _, off := range nz[lo:end] {
 				m += tail.probs[off]
 			}
 			b.mass[g] = m
@@ -308,16 +318,20 @@ func (b *SuccessBound) Set(tail *PMF) {
 	} else {
 		count := tail.NumImpulses()
 		b.n = min(boundGroups, count)
-		// Group g holds impulses g·count/n up to (g+1)·count/n; next is the
-		// index of the impulse that opens the next group.
-		g, k, next := -1, 0, 0
+		q, r := count/b.n, count%b.n
+		// next is the index of the impulse that opens the next group.
+		g, k, next, rem := -1, 0, 0, 0
 		for i, v := range tail.probs {
 			if v == 0 {
 				continue
 			}
 			if k == next {
 				g++
-				next = (g + 1) * count / b.n
+				next += q
+				if rem += r; rem >= b.n {
+					rem -= b.n
+					next++
+				}
 				b.tick[g] = tail.start + int64(i)
 			}
 			b.mass[g] += v

@@ -6,7 +6,11 @@
 // PAMF heuristic (Section V-D).
 package pruner
 
-import "fmt"
+import (
+	"fmt"
+
+	"taskprune/internal/stats"
+)
 
 // Config holds the pruning-policy knobs. Defaults follow the values the
 // paper converges on experimentally.
@@ -135,11 +139,13 @@ func (p *Pruner) Events() int { return p.events }
 // skew (likely to finish early) lowers the threshold — the task is
 // protected; negative skew raises it — the task is dropped more readily;
 // and the effect decays with queue depth. sufferage (PAMF) is subtracted
-// before the adjustment. The result is clamped into [0, 1].
+// before the adjustment. skewness is bounded into [−1, 1] first, NaN
+// reading 0, as pmf's BoundedSkewness does. The result is clamped into
+// [0, 1].
 func (p *Pruner) dropThresholdFor(skewness float64, position int, sufferage float64) float64 {
 	base := p.cfg.DropThreshold - sufferage
 	if p.cfg.PerTaskAdjust {
-		base += p.cfg.Rho * (-skewness) / float64(position+1)
+		base += p.cfg.Rho * (-stats.BoundSkewness(skewness)) / float64(position+1)
 	}
 	return clamp01(base)
 }
@@ -154,6 +160,32 @@ func (p *Pruner) ShouldDrop(robustness, skewness float64, position int, sufferag
 		return false
 	}
 	return robustness <= p.dropThresholdFor(skewness, position, sufferage)
+}
+
+// DecideBySuccess reports whether the success probability alone decides
+// ShouldDrop for a queued task at this position and type sufferage, and if
+// so, the verdict. Eq. 7's threshold is monotone in the bounded skewness
+// s, in floating point too, so it lies between its values at s = −1 and
+// s = +1 whatever ρ's sign: a success at or below both drops the task for
+// every skewness, and one above both keeps it. Only a success inside that
+// band needs the skewness. The band is a single point when PerTaskAdjust
+// is off, and nothing is dropped while dropping is disengaged.
+func (p *Pruner) DecideBySuccess(robustness float64, position int, sufferage float64) (drop, decided bool) {
+	if !p.dropping {
+		return false, true
+	}
+	lo := p.dropThresholdFor(-1, position, sufferage)
+	hi := p.dropThresholdFor(1, position, sufferage)
+	if lo > hi {
+		lo, hi = hi, lo
+	}
+	switch {
+	case robustness <= lo:
+		return true, true
+	case robustness > hi:
+		return false, true
+	}
+	return false, false
 }
 
 // DeferThresholdFor returns the effective deferring threshold for a task

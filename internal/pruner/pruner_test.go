@@ -2,6 +2,7 @@ package pruner
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -199,6 +200,62 @@ func TestShouldDropRequiresEngagement(t *testing.T) {
 	}
 	if p.ShouldDrop(0.51, 0, 0, 0) {
 		t.Error("robustness above threshold dropped")
+	}
+}
+
+// TestDecideBySuccessBand: whenever the success probability alone decides
+// a verdict, ShouldDrop returns that verdict for every skewness in [−1, 1]
+// and for NaN. Randomised over the success (including the band's edges
+// and their float neighbours), position 0–5, sufferage 0–1.2 and drop
+// thresholds up to 1 (so thresholds clamp at 0 and at 1), PerTaskAdjust on
+// and off, ρ of both signs and zero, and engaged or disengaged dropping.
+func TestDecideBySuccessBand(t *testing.T) {
+	r := rand.New(rand.NewSource(22))
+	skews := []float64{math.NaN(), math.Nextafter(-1, 0), math.Nextafter(1, 0), -1e-12, 1e-12}
+	for i := 0; i <= 40; i++ {
+		skews = append(skews, -1+float64(i)/20)
+	}
+	var open, drops, keeps, clampLo, clampHi int
+	for iter := 0; iter < 20000; iter++ {
+		cfg := DefaultConfig()
+		cfg.DropThreshold = []float64{0.5, 1, r.Float64()}[r.Intn(3)]
+		cfg.Rho = []float64{0, 0.2, -0.2}[r.Intn(3)]
+		cfg.PerTaskAdjust = r.Intn(2) == 0
+		p := New(cfg)
+		if r.Intn(8) != 0 {
+			p.ObserveMappingEvent(100)
+		}
+		pos, suff := r.Intn(6), 1.2*r.Float64()
+		edge := p.dropThresholdFor([]float64{-1, 1}[r.Intn(2)], pos, suff)
+		for _, th := range []float64{p.dropThresholdFor(-1, pos, suff), p.dropThresholdFor(1, pos, suff)} {
+			if th == 0 {
+				clampLo++
+			}
+			if th == 1 {
+				clampHi++
+			}
+		}
+		success := []float64{r.Float64(), edge, math.Nextafter(edge, -1), math.Nextafter(edge, 2), 0, 1}[r.Intn(6)]
+		drop, decided := p.DecideBySuccess(success, pos, suff)
+		if !decided {
+			open++
+			continue
+		}
+		if drop {
+			drops++
+		} else {
+			keeps++
+		}
+		for _, s := range skews {
+			if got := p.ShouldDrop(success, s, pos, suff); got != drop {
+				t.Fatalf("ρ %v, adjust %v, drop threshold %v, engaged %v, position %d, sufferage %v, success %v: decided %v, but ShouldDrop at skewness %v is %v",
+					cfg.Rho, cfg.PerTaskAdjust, cfg.DropThreshold, p.Dropping(), pos, suff, success, drop, s, got)
+			}
+		}
+	}
+	if open == 0 || drops == 0 || keeps == 0 || clampLo == 0 || clampHi == 0 {
+		t.Fatalf("premise broken: %d open, %d decided drops, %d decided keeps, %d thresholds clamped at 0, %d at 1 (want all > 0)",
+			open, drops, keeps, clampLo, clampHi)
 	}
 }
 
