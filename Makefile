@@ -157,11 +157,14 @@ vulncheck:
 lint:
 	$(GO) run honnef.co/go/tools/cmd/staticcheck@$(STATICCHECK_VERSION) ./...
 
-# Quick throughput/allocation smoke: one full trial per heuristic class
-# (single-fleet and sharded), one PAM mapping event (all-deferred,
-# near-threshold and mixed) and one MM mapping event, one walk of a full
-# machine queue (tail rebuild and pruner pass), one dispatch decision per
-# routing policy, and the convolution-core allocation guards.
+# Quick throughput/allocation smoke: one full single-fleet trial each of
+# PAM, PAMF, MOC and MM (plus PAM with telemetry and under churn) and the
+# sharded cluster trials; one PAM mapping event (all-deferred,
+# near-threshold and mixed), one MM mapping event (two free slots per
+# machine, one open machine, every machine full) and one MOC mapping
+# event (two-free and one-free); one walk of a full machine queue (tail
+# rebuild and pruner pass), one dispatch decision per routing policy, and
+# the convolution-core allocation guards.
 # The cluster trials run several iterations so the reported numbers are
 # warm steady state, not first-run cache warm-up.
 bench-smoke:

@@ -147,11 +147,11 @@ func BenchmarkAblationScenario(b *testing.B) {
 	}
 }
 
-// BenchmarkSingleTrialPAM measures the cost of one full 800-task PAM trial
+// benchSingleTrial measures one full 800-task trial of the named heuristic
 // at the 34k level — the unit of work every figure multiplies.
-func BenchmarkSingleTrialPAM(b *testing.B) {
+func benchSingleTrial(b *testing.B, heuristic string) {
 	matrix := SPECPET()
-	cfg := MustConfigFor("PAM", matrix)
+	cfg := MustConfigFor(heuristic, matrix)
 	for i := 0; i < b.N; i++ {
 		tasks := MustGenerateWorkload(WorkloadConfig{
 			NumTasks: 800, Rate: RateForLevel(Level34k), VarFrac: 0.10, Beta: 2.0,
@@ -165,6 +165,18 @@ func BenchmarkSingleTrialPAM(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkSingleTrialPAM measures one full 800-task PAM trial at the 34k
+// level.
+func BenchmarkSingleTrialPAM(b *testing.B) { benchSingleTrial(b, "PAM") }
+
+// BenchmarkSingleTrialPAMF is the same trial under PAMF: PAM with
+// per-type sufferage relaxing both pruning thresholds.
+func BenchmarkSingleTrialPAMF(b *testing.B) { benchSingleTrial(b, "PAMF") }
+
+// BenchmarkSingleTrialMOC is the same trial under MOC, the strongest
+// baseline: robustness-based phase one without a pruner.
+func BenchmarkSingleTrialMOC(b *testing.B) { benchSingleTrial(b, "MOC") }
 
 // BenchmarkSingleTrialPAMTelemetry is BenchmarkSingleTrialPAM with a live
 // probe registry, sampler, and phase timer attached. bench_guard.sh
@@ -319,22 +331,7 @@ func BenchmarkClusterTrialRRParallel(b *testing.B) {
 
 // BenchmarkSingleTrialMM is the baseline counterpart of
 // BenchmarkSingleTrialPAM (scalar heuristics skip all convolution work).
-func BenchmarkSingleTrialMM(b *testing.B) {
-	matrix := SPECPET()
-	cfg := MustConfigFor("MM", matrix)
-	for i := 0; i < b.N; i++ {
-		tasks := MustGenerateWorkload(WorkloadConfig{
-			NumTasks: 800, Rate: RateForLevel(Level34k), VarFrac: 0.10, Beta: 2.0,
-		}, matrix, NewRNG(int64(i)))
-		sim, err := NewSimulator(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := sim.Run(tasks); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+func BenchmarkSingleTrialMM(b *testing.B) { benchSingleTrial(b, "MM") }
 
 // BenchmarkAblationMOCThreshold measures the MOC culling-threshold sweep.
 func BenchmarkAblationMOCThreshold(b *testing.B) {

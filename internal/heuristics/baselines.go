@@ -20,19 +20,19 @@ func (MM) UsesPruning() bool { return false }
 
 // Map implements Heuristic.
 func (MM) Map(ctx *Context, batch []*task.Task) Result {
+	if len(batch) == 0 {
+		return Result{}
+	}
 	st := newScalarState(ctx)
 	out := ctx.Cache.newResult()
 	defer func() { ctx.Cache.keepResult(&out) }()
 	remaining := ctx.Cache.takeRemaining(batch)
 	defer func() { ctx.Cache.putRemaining(remaining) }()
-	for totalFreeSlots(ctx.Machines) > 0 && len(remaining) > 0 {
+	for len(st.open) > 0 && len(remaining) > 0 {
 		bestIdx, bestMi := -1, -1
 		bestECT := math.Inf(1)
 		for i, t := range remaining {
-			mi, ect, ok := st.bestMachine(ctx, t)
-			if !ok {
-				break
-			}
+			mi, ect := st.bestMachine(ctx, t)
 			if ect < bestECT {
 				bestIdx, bestMi, bestECT = i, mi, ect
 			}
@@ -61,20 +61,20 @@ func (MSD) UsesPruning() bool { return false }
 
 // Map implements Heuristic.
 func (MSD) Map(ctx *Context, batch []*task.Task) Result {
+	if len(batch) == 0 {
+		return Result{}
+	}
 	st := newScalarState(ctx)
 	out := ctx.Cache.newResult()
 	defer func() { ctx.Cache.keepResult(&out) }()
 	remaining := ctx.Cache.takeRemaining(batch)
 	defer func() { ctx.Cache.putRemaining(remaining) }()
-	for totalFreeSlots(ctx.Machines) > 0 && len(remaining) > 0 {
+	for len(st.open) > 0 && len(remaining) > 0 {
 		bestIdx, bestMi := -1, -1
 		bestDeadline := int64(math.MaxInt64)
 		bestECT := math.Inf(1)
 		for i, t := range remaining {
-			mi, ect, ok := st.bestMachine(ctx, t)
-			if !ok {
-				break
-			}
+			mi, ect := st.bestMachine(ctx, t)
 			if t.Deadline < bestDeadline || (t.Deadline == bestDeadline && ect < bestECT) {
 				bestIdx, bestMi, bestDeadline, bestECT = i, mi, t.Deadline, ect
 			}
@@ -105,19 +105,19 @@ func (MMU) UsesPruning() bool { return false }
 
 // Map implements Heuristic.
 func (MMU) Map(ctx *Context, batch []*task.Task) Result {
+	if len(batch) == 0 {
+		return Result{}
+	}
 	st := newScalarState(ctx)
 	out := ctx.Cache.newResult()
 	defer func() { ctx.Cache.keepResult(&out) }()
 	remaining := ctx.Cache.takeRemaining(batch)
 	defer func() { ctx.Cache.putRemaining(remaining) }()
-	for totalFreeSlots(ctx.Machines) > 0 && len(remaining) > 0 {
+	for len(st.open) > 0 && len(remaining) > 0 {
 		bestIdx, bestMi := -1, -1
 		bestUrgency := math.Inf(-1)
 		for i, t := range remaining {
-			mi, ect, ok := st.bestMachine(ctx, t)
-			if !ok {
-				break
-			}
+			mi, ect := st.bestMachine(ctx, t)
 			slack := float64(t.Deadline) - ect
 			urgency := math.Inf(1)
 			if slack > 0 {

@@ -13,6 +13,7 @@ package heuristics
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"taskprune/internal/machine"
 	"taskprune/internal/pet"
@@ -44,13 +45,13 @@ type Context struct {
 	// makes Map build a private one (tests, direct library use).
 	Cache *EvalCache
 	// NaiveEval disables the evaluation cache, the cross-event tail memo,
-	// and phase one's success bound: every machine tail is rebuilt from
-	// its queue at every event and every phase-one scalar is recomputed for
-	// every free (task, machine) pair on every commit round. Results are
-	// identical by construction (the equivalence tests assert it); the only
-	// difference is O(rounds × tasks × machines) work instead of
-	// O(tasks × machines + rounds × tasks), minus the pairs the bound
-	// skips. Used by tests and ablations as the exhaustive oracle.
+	// and phase one's success bound: every free machine's tail is rebuilt
+	// from its queue at every event and every phase-one scalar is
+	// recomputed for every free (task, machine) pair on every commit
+	// round. Results are identical by construction (the equivalence tests
+	// assert it); the only difference is O(rounds × tasks × machines) work
+	// instead of O(tasks × machines + rounds × tasks), minus the pairs the
+	// bound skips. Used by tests and ablations as the exhaustive oracle.
 	NaiveEval bool
 }
 
@@ -176,20 +177,11 @@ func New(name string) (Heuristic, error) {
 // AllNames lists every heuristic label in the order the paper's figures use.
 func AllNames() []string { return []string{"PAM", "PAMF", "MOC", "MM", "MSD", "MMU"} }
 
-// totalFreeSlots sums free queue slots across machines.
-func totalFreeSlots(ms []*machine.Machine) int {
-	n := 0
-	for _, m := range ms {
-		n += m.FreeSlots()
-	}
-	return n
-}
-
-// EvalCache is the incremental mapping-event cache behind the
-// robustness-based heuristics. It persists across mapping events (the
-// simulator owns one per trial) so that the per-event working set — machine
-// tail PMFs, per-(task, machine) phase-one evaluations, and the phase-two
-// pair scratch — reaches a steady state with no heap allocation.
+// EvalCache is the incremental mapping-event cache behind the heuristics.
+// It persists across mapping events (the simulator owns one per trial) so
+// that the per-event working set — the list of free machines, machine tail
+// PMFs or ready times, per-(task, machine) phase-one evaluations, and the
+// phase-two pair scratch — reaches a steady state with no heap allocation.
 //
 // Correctness rests on one invariant: a cached evaluation of task t on
 // machine m is valid exactly while m's queue version (machine.Version) is
@@ -198,7 +190,14 @@ func totalFreeSlots(ms []*machine.Machine) int {
 // invalidating only that machine's column; every other cached evaluation
 // stays live. That turns the O(rounds × tasks × machines) convolution bill
 // of a naive mapper into O(tasks × machines + rounds × tasks).
+//
+// A machine with no free slot (a dead one counts as full) takes no part in
+// an event: it builds no tail, so its memo and stamp stay as they were.
+// That is sound because a full machine regains a slot only through a
+// change that bumps its version (a finish, a removal, a recovery), so its
+// next tailFor misses and advances the stamp.
 type EvalCache struct {
+	open   []int              // this event's machines with a free slot, in index order
 	tails  []*pmf.PMF         // per-machine queue-tail free-time PMFs for this event
 	bounds []pmf.SuccessBound // per-machine summaries of tails for phase one's skip test
 
@@ -344,25 +343,48 @@ func (c *EvalCache) row(taskID, n int) *taskEval {
 	return te
 }
 
-// scalarState tracks expected machine-ready times for the scalar baselines;
-// it is updated incrementally as phase two commits assignments.
+// openMachines lists the machines of ms with a free queue slot, in index
+// order, in c's reused storage.
+func (c *EvalCache) openMachines(ms []*machine.Machine) []int {
+	c.open = c.open[:0]
+	for i, m := range ms {
+		if m.FreeSlots() > 0 {
+			c.open = append(c.open, i)
+		}
+	}
+	return c.open
+}
+
+// closeIfFull removes machine mi from open once a commit has taken its last
+// slot, keeping the rest in index order, and reports whether it did.
+func closeIfFull(ctx *Context, open *[]int, mi int) bool {
+	if ctx.Machines[mi].FreeSlots() > 0 {
+		return false
+	}
+	k := slices.Index(*open, mi)
+	*open = slices.Delete(*open, k, k+1)
+	return true
+}
+
+// scalarState tracks expected machine-ready times for the scalar baselines,
+// for the open machines only; it is updated incrementally as phase two
+// commits assignments, and a machine leaves open when a commit fills it.
 type scalarState struct {
-	ready []float64
+	open  []int
+	ready []float64 // indexed by machine; only open machines' entries are current
 }
 
 func newScalarState(ctx *Context) scalarState {
-	var ready []float64
-	if c := ctx.Cache; c != nil {
-		if cap(c.ready) < len(ctx.Machines) {
-			c.ready = make([]float64, len(ctx.Machines))
-		}
-		ready = c.ready[:len(ctx.Machines)]
-	} else {
-		ready = make([]float64, len(ctx.Machines))
+	c := ctx.Cache
+	if c == nil {
+		c = &EvalCache{}
 	}
-	s := scalarState{ready: ready}
-	for i, m := range ctx.Machines {
-		s.ready[i] = m.ExpectedReady(ctx.Now, ctx.PET)
+	if cap(c.ready) < len(ctx.Machines) {
+		c.ready = make([]float64, len(ctx.Machines))
+	}
+	s := scalarState{open: c.openMachines(ctx.Machines), ready: c.ready[:len(ctx.Machines)]}
+	for _, i := range s.open {
+		s.ready[i] = ctx.Machines[i].ExpectedReady(ctx.Now, ctx.PET)
 	}
 	return s
 }
@@ -387,32 +409,27 @@ func (s *scalarState) ect(ctx *Context, t *task.Task, mi int) float64 {
 	return s.ready[mi] + ctx.TaskExecMean(t, mi)
 }
 
-// bestMachine returns the machine index minimizing expected completion time
-// among machines with free slots; ok is false when no machine has room.
-func (s *scalarState) bestMachine(ctx *Context, t *task.Task) (mi int, ect float64, ok bool) {
-	best := -1
-	var bestECT float64
-	for i, m := range ctx.Machines {
-		if m.FreeSlots() <= 0 {
-			continue
-		}
-		e := s.ect(ctx, t, i)
-		if best == -1 || e < bestECT {
-			best, bestECT = i, e
+// bestMachine returns the open machine minimizing t's expected completion
+// time. The caller guarantees open is non-empty.
+func (s *scalarState) bestMachine(ctx *Context, t *task.Task) (mi int, ect float64) {
+	mi = -1
+	for _, i := range s.open {
+		if e := s.ect(ctx, t, i); mi == -1 || e < ect {
+			mi, ect = i, e
 		}
 	}
-	if best == -1 {
-		return 0, 0, false
-	}
-	return best, bestECT, true
+	return mi, ect
 }
 
-// commit enqueues t on machine mi and advances the expected ready time.
+// commit enqueues t on machine mi and advances the expected ready time, or
+// closes the machine when t took its last slot.
 func (s *scalarState) commit(ctx *Context, t *task.Task, mi int) {
 	if err := ctx.Machines[mi].Enqueue(t); err != nil {
 		panic(fmt.Sprintf("heuristics: commit to full machine %d: %v", mi, err))
 	}
-	s.ready[mi] += ctx.TaskExecMean(t, mi)
+	if !closeIfFull(ctx, &s.open, mi) {
+		s.ready[mi] += ctx.TaskExecMean(t, mi)
+	}
 }
 
 // probState binds one mapping event to the (persistent) evaluation cache
@@ -424,10 +441,13 @@ func (s *scalarState) commit(ctx *Context, t *task.Task, mi int) {
 // (pmf.DropEval). Full convolutions happen only when a pair is committed,
 // to produce the machine's next tail PMF. Evaluations are cached per task
 // in the EvalCache and invalidated per machine by queue version, since a
-// commit perturbs exactly one tail.
+// commit perturbs exactly one tail. Only open machines have a tail: a
+// machine leaves open when a commit fills it, and nothing reads its tail
+// again in the event.
 type probState struct {
 	cache  *EvalCache
-	tails  []*pmf.PMF         // == cache.tails, re-sliced for this event
+	open   []int              // machines with a free slot, in index order
+	tails  []*pmf.PMF         // == cache.tails, re-sliced for this event; current for open machines
 	bounds []pmf.SuccessBound // == cache.bounds; bounds[i] summarises tails[i]
 	arena  *pmf.Arena
 	naive  bool
@@ -460,8 +480,9 @@ func newProbState(ctx *Context) *probState {
 	// through the same record.
 	s := &c.ps
 	s.cache, s.tails, s.bounds, s.arena, s.naive = c, c.tails, c.bounds, ctx.Arena, ctx.NaiveEval
-	for i, m := range ctx.Machines {
-		s.tails[i] = c.tailFor(ctx, i, m)
+	s.open = c.openMachines(ctx.Machines)
+	for _, i := range s.open {
+		s.tails[i] = c.tailFor(ctx, i, ctx.Machines[i])
 		s.bounds[i].Set(s.tails[i])
 	}
 	return s
@@ -535,12 +556,11 @@ func (s *probState) evaluate(ctx *Context, t *task.Task, mi int) fastEval {
 // two machines as tied and prefers the earlier expected machine-free time.
 const tieEps = 1e-9
 
-// bestByRobustness returns the free-slot machine maximizing the task's
-// success probability, together with the evaluation; ok is false when no
-// machine has room. Ties (common once robustness saturates at 1.0 on
-// several machines) break toward the earliest expected completion —
-// without this, every saturated task would pile onto the lowest-indexed
-// machine.
+// bestByRobustness returns the open machine maximizing the task's success
+// probability, together with the evaluation; ok is false when no machine
+// has room. Ties (common once robustness saturates at 1.0 on several
+// machines) break toward the earliest expected completion — without this,
+// every saturated task would pile onto the lowest-indexed machine.
 //
 // Machines whose tail summary bounds the task's success below floor
 // (pmf.SuccessBound.Below) are skipped without an evaluation or a cache
@@ -548,13 +568,9 @@ const tieEps = 1e-9
 // Pass math.Inf(-1) to scan exhaustively.
 func (s *probState) bestByRobustness(ctx *Context, t *task.Task, floor float64) (mi int, ev fastEval, ok bool) {
 	bounded := floor > math.Inf(-1)
-	best, free := -1, false
+	best := -1
 	var bestEv fastEval
-	for i, m := range ctx.Machines {
-		if m.FreeSlots() <= 0 {
-			continue
-		}
-		free = true
+	for _, i := range s.open {
 		if bounded && s.bounds[i].Below(ctx.TaskExecProfile(t, i), t.Deadline, floor) {
 			continue
 		}
@@ -566,24 +582,27 @@ func (s *probState) bestByRobustness(ctx *Context, t *task.Task, floor float64) 
 			best, bestEv = i, r
 		}
 	}
-	if !free {
+	if len(s.open) == 0 {
 		return 0, fastEval{}, false
 	}
 	return best, bestEv, true
 }
 
 // commit enqueues t on machine mi and folds its execution into the tail
-// with one full dropping-aware convolution. Enqueue bumps the machine's
-// queue version, which is what invalidates cached evaluations against this
-// machine — no explicit invalidation pass is needed.
+// with one full dropping-aware convolution, or closes the machine when t
+// took its last slot. Enqueue bumps the machine's queue version, which is
+// what invalidates cached evaluations against this machine — no explicit
+// invalidation pass is needed.
 func (s *probState) commit(ctx *Context, t *task.Task, mi int) {
 	if err := ctx.Machines[mi].Enqueue(t); err != nil {
 		panic(fmt.Sprintf("heuristics: commit to full machine %d: %v", mi, err))
 	}
-	s.tails[mi] = s.arena.ChainStep(s.tails[mi], ctx.TaskExecPMF(t, mi), t.Deadline, ctx.Mode, ctx.MaxImpulses)
-	s.bounds[mi].Set(s.tails[mi])
 	s.cache.stamps[mi]++ // one column of cached evaluations dies, no more
 	s.cache.Forget(t.ID)
+	if !closeIfFull(ctx, &s.open, mi) {
+		s.tails[mi] = s.arena.ChainStep(s.tails[mi], ctx.TaskExecPMF(t, mi), t.Deadline, ctx.Mode, ctx.MaxImpulses)
+		s.bounds[mi].Set(s.tails[mi])
+	}
 }
 
 // removeTask deletes the element at index i from ts, order-preserving.

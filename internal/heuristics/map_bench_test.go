@@ -12,8 +12,12 @@ import (
 )
 
 // mapEvent is one mapping event on the pam-34k shape: eight SPEC machines
-// with a six-slot queue holding four tasks each (one executing) and a
-// 38-task batch, that workload's mean batch size.
+// with six-slot queues, each headed by an executing task, and a 38-task
+// batch, that workload's mean batch size. A queue shape sets how deep each
+// queue is: twoFree leaves every machine two free slots, oneFree fills
+// every machine but one, which keeps one free slot, and allFull fills
+// them all. Over 200,000 mm-34k arrivals, 54% of MM's mapping events found
+// no machine with a free slot and 39% exactly one.
 type mapEvent struct {
 	ctx    *Context
 	queued [][]*task.Task // per machine, head first
@@ -27,10 +31,24 @@ const (
 	mapEventQueueCap = 6
 )
 
+// A queue shape gives machine mi's queue depth out of n machines.
+type queueShape func(mi, n int) int
+
+func twoFree(int, int) int { return mapEventQueued }
+
+func oneFree(mi, n int) int {
+	if mi == n/2 {
+		return mapEventQueueCap - 1
+	}
+	return mapEventQueueCap
+}
+
+func allFull(int, int) int { return mapEventQueueCap }
+
 // newMapEvent builds the event. Batch deadlines leave slack drawn uniformly
 // from [lo, hi)·grandMean ticks after the clock; queued tasks get generous
 // deadlines so the tails carry the full queue.
-func newMapEvent(matrix *pet.Matrix, lo, hi float64) *mapEvent {
+func newMapEvent(matrix *pet.Matrix, lo, hi float64, shape queueShape) *mapEvent {
 	rng := stats.NewRNG(34)
 	grand := matrix.GrandMean()
 	ev := &mapEvent{ctx: &Context{
@@ -46,7 +64,7 @@ func newMapEvent(matrix *pet.Matrix, lo, hi float64) *mapEvent {
 	id := 0
 	for mi := range ev.ctx.Machines {
 		ev.ctx.Machines[mi] = machine.New(mi, "m", mapEventQueueCap, 0)
-		q := make([]*task.Task, mapEventQueued)
+		q := make([]*task.Task, shape(mi, len(ev.ctx.Machines)))
 		for k := range q {
 			q[k] = task.New(id, task.Type(rng.Intn(matrix.NumTypes())), 0, mapEventNow+int64(8*grand))
 			id++
@@ -65,8 +83,9 @@ func newMapEvent(matrix *pet.Matrix, lo, hi float64) *mapEvent {
 // reset restores the event's state: every machine re-queues its tasks, the
 // head started a little before the clock, and the batch is unmapped again.
 // Machine.Reset bumps each queue version, so every cached evaluation of the
-// previous run is stale; the tails are rebuilt into the cross-event memo
-// here, leaving the timed Map with warm tails and cold evaluations.
+// previous run is stale; the open machines' tails are rebuilt into the
+// cross-event memo here, leaving the timed Map with warm tails and cold
+// evaluations.
 func (ev *mapEvent) reset() {
 	for mi, m := range ev.ctx.Machines {
 		m.Reset()
@@ -101,6 +120,32 @@ func (ev *mapEvent) run(b *testing.B, h Heuristic, check func(Result) bool) {
 	}
 }
 
+// undo takes a scalar event's commits back off their machines, leaving the
+// queues as the event found them at a cost of a few nanoseconds. Only
+// versions move, which no scalar heuristic reads.
+func (ev *mapEvent) undo(res Result) {
+	for _, t := range res.Assigned {
+		ev.ctx.Machines[t.Machine].RemovePending(t)
+		t.State, t.Machine = task.StatePending, -1
+	}
+}
+
+// runScalar times h.Map for a scalar heuristic, undoing each event's
+// commits inside the timed loop: a sub-microsecond event would otherwise
+// spend its wall time in reset's stopped timer.
+func (ev *mapEvent) runScalar(b *testing.B, h Heuristic, assigned int) {
+	b.ReportAllocs()
+	ev.undo(h.Map(ev.ctx, ev.batch))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res := h.Map(ev.ctx, ev.batch)
+		if len(res.Assigned) != assigned {
+			b.Fatalf("assigned %d tasks, want %d", len(res.Assigned), assigned)
+		}
+		ev.undo(res)
+	}
+}
+
 // BenchmarkPAMMapEvent times one PAM mapping event whose machine tails are
 // memoized but whose phase-one evaluations are all stale, so every pair the
 // bound keeps is evaluated afresh. all-deferred is the event that assigns
@@ -113,17 +158,17 @@ func (ev *mapEvent) run(b *testing.B, h Heuristic, check func(Result) bool) {
 func BenchmarkPAMMapEvent(b *testing.B) {
 	matrix := pet.MustBuild(pet.SPECLikeMeans(), pet.DefaultBuildConfig(), stats.NewRNG(0x5EC))
 	b.Run("all-deferred", func(b *testing.B) {
-		newMapEvent(matrix, 0.5, 3).run(b, PAM{}, func(r Result) bool {
+		newMapEvent(matrix, 0.5, 3, twoFree).run(b, PAM{}, func(r Result) bool {
 			return len(r.Assigned) == 0 && len(r.Deferred) == mapEventBatch
 		})
 	})
 	b.Run("near-threshold", func(b *testing.B) {
-		newMapEvent(matrix, 2, 5).run(b, PAM{}, func(r Result) bool {
+		newMapEvent(matrix, 2, 5, twoFree).run(b, PAM{}, func(r Result) bool {
 			return len(r.Assigned) == 2 && len(r.Deferred) == mapEventBatch-2
 		})
 	})
 	b.Run("mixed", func(b *testing.B) {
-		newMapEvent(matrix, 0.5, 8).run(b, PAM{}, func(r Result) bool {
+		newMapEvent(matrix, 0.5, 8, twoFree).run(b, PAM{}, func(r Result) bool {
 			return len(r.Assigned) > 0 && len(r.Deferred) > 0
 		})
 	})
@@ -136,7 +181,7 @@ func BenchmarkPAMMapEvent(b *testing.B) {
 // whose re-queueing allocates.
 func TestPAMMapEventAllocFree(t *testing.T) {
 	matrix := pet.MustBuild(pet.SPECLikeMeans(), pet.DefaultBuildConfig(), stats.NewRNG(0x5EC))
-	ev := newMapEvent(matrix, 0.5, 3)
+	ev := newMapEvent(matrix, 0.5, 3, twoFree)
 	PAM{}.Map(ev.ctx, ev.batch)
 	if n := testing.AllocsPerRun(50, func() {
 		ev.ctx.Arena.Reset()
@@ -149,13 +194,60 @@ func TestPAMMapEventAllocFree(t *testing.T) {
 }
 
 // BenchmarkMMMapEvent times one MM mapping event on the same state: MM
-// prices every (task, machine) pair by expected completion time, the
-// machine's ExpectedReady plus the task's profiled mean, and fills all
-// sixteen free slots. It reads no tail and never defers.
+// prices each (task, open machine) pair by expected completion time, the
+// machine's ExpectedReady plus the task's profiled mean, and reads no tail
+// and never defers. two-free fills all sixteen free slots (reset between
+// events); one-free and full are the shapes most mm-34k events see, with
+// one commit, undone in the timed loop, and none.
 func BenchmarkMMMapEvent(b *testing.B) {
 	matrix := pet.MustBuild(pet.SPECLikeMeans(), pet.DefaultBuildConfig(), stats.NewRNG(0x5EC))
-	free := matrix.NumMachines() * (mapEventQueueCap - mapEventQueued)
-	newMapEvent(matrix, 0.5, 8).run(b, MM{}, func(r Result) bool {
-		return len(r.Assigned) == free && len(r.Deferred) == 0
+	b.Run("two-free", func(b *testing.B) {
+		free := matrix.NumMachines() * (mapEventQueueCap - mapEventQueued)
+		newMapEvent(matrix, 0.5, 8, twoFree).run(b, MM{}, func(r Result) bool {
+			return len(r.Assigned) == free && len(r.Deferred) == 0
+		})
+	})
+	b.Run("one-free", func(b *testing.B) {
+		newMapEvent(matrix, 0.5, 8, oneFree).runScalar(b, MM{}, 1)
+	})
+	b.Run("full", func(b *testing.B) {
+		newMapEvent(matrix, 0.5, 8, allFull).runScalar(b, MM{}, 0)
+	})
+}
+
+// TestMMMapEventAllocFree: once the cache has grown, the one-free MM event
+// — the list of open machines, one ExpectedReady and one commit — allocates
+// nothing.
+func TestMMMapEventAllocFree(t *testing.T) {
+	matrix := pet.MustBuild(pet.SPECLikeMeans(), pet.DefaultBuildConfig(), stats.NewRNG(0x5EC))
+	ev := newMapEvent(matrix, 0.5, 8, oneFree)
+	ev.undo(MM{}.Map(ev.ctx, ev.batch))
+	if n := testing.AllocsPerRun(50, func() {
+		r := MM{}.Map(ev.ctx, ev.batch)
+		if len(r.Assigned) != 1 {
+			t.Fatalf("event assigned %d tasks, want 1", len(r.Assigned))
+		}
+		ev.undo(r)
+	}); n != 0 {
+		t.Errorf("one-free MM mapping event allocates %.1f objects, want 0", n)
+	}
+}
+
+// BenchmarkMOCMapEvent times one MOC mapping event: phase one by
+// robustness with the culling bound, the three-pair permutation search and
+// a commit per round. two-free maps onto every machine; one-free evaluates
+// the batch on the single open machine and commits once.
+func BenchmarkMOCMapEvent(b *testing.B) {
+	matrix := pet.MustBuild(pet.SPECLikeMeans(), pet.DefaultBuildConfig(), stats.NewRNG(0x5EC))
+	moc := NewMOC(DefaultMOCThreshold)
+	b.Run("two-free", func(b *testing.B) {
+		newMapEvent(matrix, 0.5, 8, twoFree).run(b, moc, func(r Result) bool {
+			return len(r.Assigned) > 0 && len(r.Culled) > 0
+		})
+	})
+	b.Run("one-free", func(b *testing.B) {
+		newMapEvent(matrix, 0.5, 8, oneFree).run(b, moc, func(r Result) bool {
+			return len(r.Assigned) == 1
+		})
 	})
 }

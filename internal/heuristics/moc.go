@@ -43,13 +43,16 @@ type mocPair struct {
 
 // Map implements Heuristic.
 func (h MOC) Map(ctx *Context, batch []*task.Task) Result {
+	if len(batch) == 0 {
+		return Result{}
+	}
 	st := newProbState(ctx)
 	out := st.cache.newResult()
 	defer func() { st.cache.keepResult(&out) }()
 	remaining := st.cache.takeRemaining(batch)
 	defer func() { st.cache.putRemaining(remaining) }()
 	floor := skipFloor(ctx, h.Threshold)
-	for totalFreeSlots(ctx.Machines) > 0 && len(remaining) > 0 {
+	for len(st.open) > 0 && len(remaining) > 0 {
 		// Phase 1: best machine per task by robustness, culling as it goes:
 		// a task whose best robustness lies below the threshold is dropped
 		// from the system entirely — the paper's MOC maps or drops every
@@ -58,7 +61,8 @@ func (h MOC) Map(ctx *Context, batch []*task.Task) Result {
 		// Machines that cannot reach the threshold are skipped (skipFloor);
 		// a task whose every free machine is skipped comes back with
 		// mi = −1 and zero success, and is culled. bestByRobustness cannot
-		// report "no free slot" here: the round runs only while one exists.
+		// report "no free slot" here: the round runs only while a machine is
+		// open.
 		kept := remaining[:0]
 		pairs := st.cache.mpairs[:0]
 		for _, t := range remaining {

@@ -101,6 +101,9 @@ func deferFloor(ctx *Context, t *task.Task) float64 {
 
 // pruningMap is the shared PAM/PAMF mapping loop.
 func pruningMap(ctx *Context, batch []*task.Task) Result {
+	if len(batch) == 0 {
+		return Result{}
+	}
 	st := newProbState(ctx)
 	out := st.cache.newResult()
 	defer func() { st.cache.keepResult(&out) }()
@@ -109,13 +112,13 @@ func pruningMap(ctx *Context, batch []*task.Task) Result {
 	deferred := st.cache.deferred
 	clear(deferred)
 
-	for totalFreeSlots(ctx.Machines) > 0 && len(remaining) > 0 {
+	for len(st.open) > 0 && len(remaining) > 0 {
 		// Phase 1: best machine by robustness; defer sub-threshold tasks.
 		// A kept task's pair indexes the post-deferral (kept) task list.
 		// Machines that cannot reach a task's defer threshold are skipped
 		// (deferFloor); a task whose every free machine is skipped comes
 		// back with mi = −1 and is deferred. bestByRobustness cannot report
-		// "no free slot" here: the round runs only while one exists.
+		// "no free slot" here: the round runs only while a machine is open.
 		kept := remaining[:0]
 		pairs := st.cache.pairs[:0]
 		for _, t := range remaining {
