@@ -110,10 +110,13 @@ race-stream: race-cluster
 
 # Race check of the telemetry layer: the sampler shard merge under the
 # wide-window driver (per-shard rows must stay byte-identical to the
-# sequential path's across GOMAXPROCS settings) and the HTTP export
+# sequential path's across GOMAXPROCS settings, and every counter read
+# stays on its shard owner's goroutine), the counters-read-their-store
+# contract of the simulator and engine shards, and the HTTP export
 # server's Publish/render surface hammered from concurrent goroutines.
 race-telemetry:
-	$(GO) test -race -run 'ClusterParallelTelemetryDeterminism|TelemetryDoesNotPerturbScheduling' ./internal/cluster/
+	$(GO) test -race -run 'ClusterParallelTelemetryDeterminism|TelemetryDoesNotPerturbScheduling|GateCountersReadTheirStore' ./internal/cluster/
+	$(GO) test -race -run 'CountersReadTheirStore' ./internal/simulator/
 	$(GO) test -race -run 'ServerConcurrentPublish' ./internal/telemetry/
 
 # Short fuzz run of both wire-format parsers, seeded from the committed

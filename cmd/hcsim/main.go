@@ -444,7 +444,7 @@ func runSingle(opts experiments.Options, name string, level float64, sc *scenari
 	}
 	if p := sim.BeliefPolicy(); p != nil {
 		fmt.Printf("%s: %d completions observed, %d belief refreshes\n",
-			p, sim.BeliefObservations(), sim.BeliefRefreshes())
+			p, sim.Belief().Observations(), sim.Belief().Refreshes())
 	}
 	if srv != nil {
 		srv.Publish("sim", sim.Telemetry().Snapshot())
@@ -517,9 +517,10 @@ func runCluster(opts experiments.Options, name string, level float64, sc *scenar
 	if sc != nil {
 		fmt.Printf("scenario %q: %d fleet events\n", sc.Name, len(sc.Events))
 		if fo := eng.Failover(); fo.Enabled() {
-			// The gate's counters — buffering, bounces, retries, detections
-			// and their lag — live in the engine's telemetry shard; render
-			// them from there instead of duplicating the arithmetic here.
+			// The engine's telemetry shard reads the gate's counters —
+			// buffering, bounces, retries, detections and their lag — and
+			// derives its gauges; render them from there instead of
+			// duplicating the arithmetic here.
 			fmt.Printf("%s:\n", fo)
 			if err := telemetry.WriteText(os.Stdout, telemetry.Shard{Scope: "gate", Snap: eng.Telemetry().Snapshot()}); err != nil {
 				return err

@@ -200,20 +200,26 @@ type Engine struct {
 	gateStats metrics.GateStats
 	lostByDC  []int
 
-	// Submission state (live.go): how many tasks submit has accepted and
-	// the last one's arrival tick. liveOn is armed by StartLive, after
-	// which the engine is driven one submission at a time instead of by
-	// RunSource.
+	// Submission state (live.go): the last submission's arrival tick.
+	// liveOn is armed by StartLive, after which the engine is driven one
+	// submission at a time instead of by RunSource.
 	liveOn      bool
-	submitted   int
 	lastArrival int64
 
-	// Telemetry: the engine's own shard (tel/sampler/pr), the engine's
-	// dispatch-phase timer, and the per-DC timers it merges at the end.
+	// Gate tallies: fresh arrivals reaching the dispatcher, the ones
+	// admitted straight into a datacenter, and tasks injected into one
+	// later (failover salvage, bounce retries, buffer drains).
+	arrivals int
+	admitted int
+	injected int
+
+	// Telemetry: the engine's own shard (tel/sampler/pr), whose counters
+	// read the tallies above and gateStats, the engine's dispatch-phase
+	// timer, and the per-DC timers it merges at the end.
 	tel          *telemetry.Registry
 	sampler      *telemetry.Sampler
 	pr           engineProbes
-	lastArrivals int64
+	lastArrivals int
 	phases       *telemetry.PhaseTimer
 	dcPhases     []*telemetry.PhaseTimer
 }
@@ -293,7 +299,7 @@ func New(cfg Config) (*Engine, error) {
 	}
 	if cfg.Telemetry != nil {
 		e.tel = telemetry.NewRegistry()
-		e.pr = newEngineProbes(e.tel, cfg.DCs)
+		e.pr = e.newEngineProbes(e.tel)
 		e.sampler = telemetry.NewSampler(e.tel, cfg.Telemetry)
 		e.sampler.Prepare = e.prepareSample
 	}
@@ -554,18 +560,6 @@ func (e *Engine) applyClusterEvent() error {
 	return nil
 }
 
-// dropAtGate exits a task that no datacenter can accept and no buffer can
-// hold.
-func (e *Engine) dropAtGate(t *task.Task, now int64) {
-	t.State = task.StateDropped
-	t.Finish = now
-	e.collector.Observe(t)
-	e.gateStats.Dropped++
-	if e.recycler != nil {
-		e.recycler.Recycle(t)
-	}
-}
-
 func (e *Engine) record(d Dispatch) {
 	if e.cfg.RecordDispatch {
 		e.dispatches = append(e.dispatches, d)
@@ -574,10 +568,6 @@ func (e *Engine) record(d Dispatch) {
 
 // DCList exposes the datacenters (inspection, tests, reporting).
 func (e *Engine) DCList() []*DC { return e.dcs }
-
-// GateDrops returns how many tasks were dropped at the gate because no
-// datacenter was believed healthy (and no gate buffer could hold them).
-func (e *Engine) GateDrops() int { return e.gateStats.Dropped }
 
 // Gate returns the dispatcher's admission-layer counters: the three
 // distinct loss classes (dropped at gate, shed from buffer, lost to

@@ -434,8 +434,8 @@ func TestDCFailRequeueFailsOver(t *testing.T) {
 	if dc0After == 0 {
 		t.Fatal("recovered datacenter never received tasks again")
 	}
-	if eng.GateDrops() != 0 {
-		t.Fatalf("gate dropped %d tasks with survivors available", eng.GateDrops())
+	if eng.Gate().Dropped != 0 {
+		t.Fatalf("gate dropped %d tasks with survivors available", eng.Gate().Dropped)
 	}
 }
 
@@ -503,7 +503,7 @@ func TestAllDCsDownDropsAtGate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if eng.GateDrops() == 0 {
+	if eng.Gate().Dropped == 0 {
 		t.Fatal("total blackout dropped nothing at the gate")
 	}
 	if st.Total != len(tasks) {

@@ -232,7 +232,8 @@ func (e *Engine) applyGateEvent() error {
 		}
 	case gevRedispatch:
 		if ev.task.Expired(ev.tick) || (e.fo.MaxRetries > 0 && ev.attempt > e.fo.MaxRetries) {
-			e.loseTask(ev.task, ev.dc, ev.tick)
+			e.exitAtGate(ev.task, ev.tick, &e.gateStats.LostUndetected)
+			e.lostByDC[ev.dc]++
 			return nil
 		}
 		e.gateStats.Retries++
@@ -251,10 +252,10 @@ func (e *Engine) applyGateEvent() error {
 // driver may call it while workers are mid-window.
 func (e *Engine) routeArrival(t *task.Task) (int, bool, error) {
 	t0 := e.phases.Start()
-	e.pr.arrivals.Inc()
+	e.arrivals++
 	d, admit, err := e.gateArrival(t)
 	if admit {
-		e.pr.admitted.Inc()
+		e.admitted++
 	}
 	e.phases.Observe(telemetry.PhaseDispatch, t0)
 	e.sampler.Tick(e.now)
@@ -269,7 +270,7 @@ func (e *Engine) gateArrival(t *task.Task) (int, bool, error) {
 		if e.fo.Buffered() {
 			e.bufferTask(t, t.Arrival)
 		} else {
-			e.dropAtGate(t, t.Arrival)
+			e.exitAtGate(t, t.Arrival, &e.gateStats.Dropped)
 		}
 		return -1, false, nil
 	}
@@ -296,7 +297,7 @@ func (e *Engine) routeInjected(t *task.Task, now int64, attempt int, failover bo
 		if e.fo.Buffered() {
 			e.bufferTask(t, now)
 		} else {
-			e.dropAtGate(t, now)
+			e.exitAtGate(t, now, &e.gateStats.Dropped)
 		}
 		return nil
 	}
@@ -309,7 +310,7 @@ func (e *Engine) routeInjected(t *task.Task, now int64, attempt int, failover bo
 		e.bounceDispatch(t, d, attempt+1, now)
 		return nil
 	}
-	e.pr.injected.Inc()
+	e.injected++
 	e.dcs[d].sim.InjectRequeued(t, now)
 	return nil
 }
@@ -337,7 +338,7 @@ func (e *Engine) routeDrained(from *DC, t *task.Task, now int64) error {
 		e.bounceDispatch(t, to, 1, now)
 		return nil
 	}
-	e.pr.injected.Inc()
+	e.injected++
 	e.dcs[to].sim.InjectRequeued(t, now)
 	return nil
 }
@@ -368,7 +369,7 @@ func (e *Engine) bufferTask(t *task.Task, now int64) {
 		victim := e.buf[0]
 		copy(e.buf, e.buf[1:])
 		e.buf[len(e.buf)-1] = t
-		e.shedTask(victim, now)
+		e.exitAtGate(victim, now, &e.gateStats.Shed)
 	case scenario.ShedDeadlineAware:
 		// Shed the least-likely-on-time task: every buffered task waits
 		// from the same tick, so the earliest absolute deadline is the
@@ -385,12 +386,12 @@ func (e *Engine) bufferTask(t *task.Task, now int64) {
 			victim := e.buf[vi]
 			copy(e.buf[vi:], e.buf[vi+1:])
 			e.buf[len(e.buf)-1] = t
-			e.shedTask(victim, now)
+			e.exitAtGate(victim, now, &e.gateStats.Shed)
 		} else {
-			e.shedTask(t, now)
+			e.exitAtGate(t, now, &e.gateStats.Shed)
 		}
 	default: // ShedDropNewest
-		e.shedTask(t, now)
+		e.exitAtGate(t, now, &e.gateStats.Shed)
 	}
 }
 
@@ -413,33 +414,21 @@ func (e *Engine) drainGateBuffer(now int64) error {
 // the cluster went dark and never came back.
 func (e *Engine) flushGateBuffer() {
 	for i, t := range e.buf {
-		e.shedTask(t, e.now)
+		e.exitAtGate(t, e.now, &e.gateStats.Shed)
 		e.buf[i] = nil
 	}
 	e.buf = e.buf[:0]
 }
 
-// shedTask exits a task shed from the gate buffer (overflow victim or
-// end-of-trial flush) at the cluster level: it never reached a datacenter,
-// so only the cluster aggregate sees it.
-func (e *Engine) shedTask(t *task.Task, now int64) {
+// exitAtGate exits a task that leaves at the dispatcher — dropped at the
+// gate, shed from the gate buffer, or lost to an undetected outage — and
+// bumps tally, that loss class's GateStats field. No datacenter holds the
+// task, so only the cluster aggregate sees it.
+func (e *Engine) exitAtGate(t *task.Task, now int64, tally *int) {
 	t.State = task.StateDropped
 	t.Finish = now
 	e.collector.Observe(t)
-	e.gateStats.Shed++
-	if e.recycler != nil {
-		e.recycler.Recycle(t)
-	}
-}
-
-// loseTask exits a task lost to an undetected outage: its retry budget ran
-// out or its deadline expired while it was bouncing off datacenter dc.
-func (e *Engine) loseTask(t *task.Task, dc int, now int64) {
-	t.State = task.StateDropped
-	t.Finish = now
-	e.collector.Observe(t)
-	e.gateStats.LostUndetected++
-	e.lostByDC[dc]++
+	*tally++
 	if e.recycler != nil {
 		e.recycler.Recycle(t)
 	}

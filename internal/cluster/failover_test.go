@@ -162,7 +162,7 @@ func TestGateBufferHoldsBlackout(t *testing.T) {
 		return sc
 	}
 	bareEng, bare, _ := runFailoverTrial(t, "MM", 2, nil, outage(nil), 150, 9)
-	if bareEng.GateDrops() == 0 {
+	if bareEng.Gate().Dropped == 0 {
 		t.Fatal("bufferless blackout dropped nothing at the gate")
 	}
 	eng, st, perDC := runFailoverTrial(t, "MM", 2, nil, outage(&scenario.FailoverPolicy{GateBuffer: 256}), 150, 9)

@@ -62,7 +62,6 @@ func (e *Engine) submit(t *task.Task) error {
 	if err := e.stepBefore(t.Arrival); err != nil {
 		return err
 	}
-	e.submitted++
 	return e.dispatch(t)
 }
 
@@ -178,11 +177,12 @@ func (e *Engine) InFlight() int {
 	if e.collector == nil {
 		return 0
 	}
-	return e.submitted - e.collector.Total()
+	return e.arrivals - e.collector.Total()
 }
 
-// Submitted returns how many tasks SubmitLive has accepted.
-func (e *Engine) Submitted() int { return e.submitted }
+// Submitted returns how many tasks have reached the dispatcher gate: every
+// task SubmitLive (or a RunSource pull) has routed.
+func (e *Engine) Submitted() int { return e.arrivals }
 
 // Now returns the engine's clock: the tick of the last event or submission
 // it processed. Live producers stamp the next submission's Arrival at or
@@ -196,12 +196,7 @@ func (e *Engine) Now() int64 {
 
 // LiveCounts snapshots the raw exit tallies mid-run (zero before
 // StartLive).
-func (e *Engine) LiveCounts() metrics.Counts {
-	if e.collector == nil {
-		return metrics.Counts{}
-	}
-	return e.collector.Counts()
-}
+func (e *Engine) LiveCounts() metrics.Counts { return e.collector.Counts() }
 
 // LiveStats computes the trimmed-window trial statistics over everything
 // observed so far, without finalizing the datacenters — a pure mid-run

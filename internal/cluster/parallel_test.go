@@ -109,7 +109,7 @@ func TestParallelGateDrops(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return eng.GateDrops(), st.Total
+		return eng.Gate().Dropped, st.Total
 	}
 	seqDrops, seqTotal := run(false)
 	parDrops, parTotal := run(true)

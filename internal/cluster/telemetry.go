@@ -7,26 +7,16 @@ import (
 )
 
 // engineProbes is the cluster engine's telemetry shard: dispatch outcomes,
-// gate-buffer behaviour, and believed-vs-true per-DC health. The shard is
-// owned by the engine goroutine and reads ONLY engine-owned state — never
-// the per-DC simulators, which may be stepping on worker goroutines when
-// the wide-window driver samples mid-window. Per-DC queue depths and fleet
-// state live in each datacenter's own simulator shard instead.
+// gate-buffer behaviour, and believed-vs-true per-DC health. Its counters
+// are read functions over the engine's own tallies (registered in
+// newEngineProbes); the gauges below are refreshed by prepareSample. The
+// shard is owned by the engine goroutine and reads ONLY engine-owned
+// state — never the per-DC simulators, which may be stepping on worker
+// goroutines when the wide-window driver samples mid-window. Per-DC queue
+// depths and fleet state live in each datacenter's own simulator shard
+// instead.
 type engineProbes struct {
-	// Event-path counters (engine goroutine only).
-	arrivals *telemetry.Counter
-	admitted *telemetry.Counter
-	injected *telemetry.Counter
-
-	// Sample-time mirrors of metrics.GateStats.
-	gateDropped   *telemetry.Counter
-	gateShed      *telemetry.Counter
-	lostUndetect  *telemetry.Counter
-	retries       *telemetry.Counter
-	bounced       *telemetry.Counter
-	buffered      *telemetry.Counter
-	detections    *telemetry.Counter
-	detectLagSum  *telemetry.Counter
+	// Sample-time gauges over metrics.GateStats.
 	gateMaxDepth  *telemetry.Gauge
 	detectLagMean *telemetry.Gauge
 
@@ -46,19 +36,23 @@ type engineProbes struct {
 // detectLagBounds buckets detection lag in ticks.
 var detectLagBounds = []float64{10, 25, 50, 100, 250, 500, 1000}
 
-func newEngineProbes(r *telemetry.Registry, dcs int) engineProbes {
+// newEngineProbes registers the engine's metrics on r. The counters read
+// the gate tallies and e.gateStats — the same store Gate(), Submitted()
+// and InFlight() report — so they never lag behind them.
+func (e *Engine) newEngineProbes(r *telemetry.Registry) engineProbes {
+	g := &e.gateStats
+	r.Counter("gate_arrivals_total", "fresh arrivals reaching the dispatcher gate", func() int64 { return int64(e.arrivals) })
+	r.Counter("gate_admitted_total", "arrivals routed straight into a datacenter", func() int64 { return int64(e.admitted) })
+	r.Counter("gate_injected_total", "failover/buffer/retry tasks injected into a datacenter", func() int64 { return int64(e.injected) })
+	r.Counter("gate_dropped_total", "tasks dropped at the gate (no believed-healthy DC, no buffer)", func() int64 { return int64(g.Dropped) })
+	r.Counter("gate_shed_total", "tasks shed from the bounded gate buffer", func() int64 { return int64(g.Shed) })
+	r.Counter("gate_lost_undetected_total", "tasks lost bouncing off undetected outages", func() int64 { return int64(g.LostUndetected) })
+	r.Counter("gate_retries_total", "re-dispatch attempts after bounced dispatches", func() int64 { return int64(g.Retries) })
+	r.Counter("gate_bounced_total", "dispatches that landed on a down-but-undetected DC", func() int64 { return int64(g.Bounced) })
+	r.Counter("gate_buffered_total", "tasks that entered the gate buffer", func() int64 { return int64(g.Buffered) })
+	r.Counter("gate_detections_total", "outages the health monitor flagged", func() int64 { return int64(g.Detections) })
+	r.Counter("gate_detection_lag_ticks_total", "summed detection lag over all detections", func() int64 { return g.DetectionLagTicks })
 	p := engineProbes{
-		arrivals:      r.Counter("gate_arrivals_total", "fresh arrivals reaching the dispatcher gate"),
-		admitted:      r.Counter("gate_admitted_total", "arrivals routed straight into a datacenter"),
-		injected:      r.Counter("gate_injected_total", "failover/buffer/retry tasks injected into a datacenter"),
-		gateDropped:   r.Counter("gate_dropped_total", "tasks dropped at the gate (no believed-healthy DC, no buffer)"),
-		gateShed:      r.Counter("gate_shed_total", "tasks shed from the bounded gate buffer"),
-		lostUndetect:  r.Counter("gate_lost_undetected_total", "tasks lost bouncing off undetected outages"),
-		retries:       r.Counter("gate_retries_total", "re-dispatch attempts after bounced dispatches"),
-		bounced:       r.Counter("gate_bounced_total", "dispatches that landed on a down-but-undetected DC"),
-		buffered:      r.Counter("gate_buffered_total", "tasks that entered the gate buffer"),
-		detections:    r.Counter("gate_detections_total", "outages the health monitor flagged"),
-		detectLagSum:  r.Counter("gate_detection_lag_ticks_total", "summed detection lag over all detections"),
 		gateMaxDepth:  r.Gauge("gate_max_queue_depth", "deepest the gate buffer ever got"),
 		detectLagMean: r.Gauge("gate_detection_lag_mean", "mean detection lag in ticks"),
 		gateDepth:     r.Gauge("gate_queue_depth", "tasks currently waiting in the gate buffer"),
@@ -68,7 +62,7 @@ func newEngineProbes(r *telemetry.Registry, dcs int) engineProbes {
 		detectLag:     r.Histogram("gate_detection_lag", "detection lag per flagged outage, in ticks", detectLagBounds),
 	}
 	if r != nil {
-		for d := 0; d < dcs; d++ {
+		for d := 0; d < e.cfg.DCs; d++ {
 			p.dcInService = append(p.dcInService, r.Gauge(dcMetric("dc%d_in_service", d), "ground-truth up/down flag for this datacenter"))
 			p.dcHealthy = append(p.dcHealthy, r.Gauge(dcMetric("dc%d_healthy", d), "dispatcher's believed up/down flag for this datacenter"))
 		}
@@ -80,10 +74,10 @@ func dcMetric(format string, d int) string {
 	return fmt.Sprintf(format, d)
 }
 
-// prepareSample refreshes the engine shard just before a row is recorded.
-// Reads engine-owned state only (gate buffer, health flags, GateStats);
-// deterministic given the engine's event sequence, which is identical
-// across the sequential path and the wide-window driver.
+// prepareSample refreshes the engine shard's gauges just before a row is
+// recorded. Reads engine-owned state only (gate buffer, health flags,
+// GateStats); deterministic given the engine's event sequence, which is
+// identical across the sequential path and the wide-window driver.
 func (e *Engine) prepareSample() {
 	p := &e.pr
 	p.gateDepth.Set(float64(len(e.buf)))
@@ -103,23 +97,14 @@ func (e *Engine) prepareSample() {
 	p.dcsInService.Set(float64(inService))
 	p.dcsHealthy.Set(float64(healthy))
 	g := e.gateStats
-	p.gateDropped.Sync(int64(g.Dropped))
-	p.gateShed.Sync(int64(g.Shed))
-	p.lostUndetect.Sync(int64(g.LostUndetected))
-	p.retries.Sync(int64(g.Retries))
-	p.bounced.Sync(int64(g.Bounced))
-	p.buffered.Sync(int64(g.Buffered))
-	p.detections.Sync(int64(g.Detections))
-	p.detectLagSum.Sync(g.DetectionLagTicks)
 	p.gateMaxDepth.Set(float64(g.MaxQueueDepth))
 	lagMean := 0.0
 	if g.Detections > 0 {
 		lagMean = float64(g.DetectionLagTicks) / float64(g.Detections)
 	}
 	p.detectLagMean.Set(lagMean)
-	arr := p.arrivals.Value()
-	p.arrivalRate.Set(float64(arr-e.lastArrivals) / float64(e.sampler.Every()))
-	e.lastArrivals = arr
+	p.arrivalRate.Set(float64(e.arrivals-e.lastArrivals) / float64(e.sampler.Every()))
+	e.lastArrivals = e.arrivals
 }
 
 func boolGauge(b bool) float64 {

@@ -3,9 +3,11 @@ package cluster
 import (
 	"bytes"
 	"runtime"
+	"sort"
 	"strings"
 	"testing"
 
+	"taskprune/internal/scenario"
 	"taskprune/internal/simulator"
 	"taskprune/internal/telemetry"
 	"taskprune/internal/workload"
@@ -216,5 +218,119 @@ func TestTelemetryTemplateValidation(t *testing.T) {
 	simCfg.PhaseTimer = telemetry.NewPhaseTimer()
 	if _, err := simulator.New(simCfg); err != nil {
 		t.Fatalf("direct simulator telemetry rejected: %v", err)
+	}
+}
+
+// TestGateCountersReadTheirStore is the engine-side twin of the
+// simulator's TestCountersReadTheirStore. Driven live through the
+// heartbeat-detection storm, with no sample boundary inside the run, the
+// engine shard's counters must equal the engine's own tallies after every
+// burst: the gate counters Gate(), gate_arrivals_total Submitted(), and
+// InFlight() must be Submitted() minus the exits so far. With the gate
+// buffer on nothing is dropped at the gate; without it nothing is
+// buffered or shed. Runs under -race via make race-telemetry.
+func TestGateCountersReadTheirStore(t *testing.T) {
+	storm := func(buffer int, shed scenario.ShedKind) *scenario.Scenario {
+		sc := detectStormScenario()
+		fo := *sc.Failover
+		fo.GateBuffer, fo.Shed = buffer, shed
+		sc.Failover = &fo
+		return sc
+	}
+	for _, tc := range []struct {
+		name string
+		sc   *scenario.Scenario
+		idle []string // counters this configuration cannot move
+	}{
+		{"buffered", storm(4, scenario.ShedDeadlineAware), []string{"gate_dropped_total"}},
+		{"unbuffered", storm(0, scenario.ShedDropNewest), []string{"gate_shed_total", "gate_buffered_total"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			matrix := clusterPET(t)
+			policy, err := NewPolicy("pet-aware")
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := clusterConfig(t, "PAM", matrix, 3, policy, tc.sc)
+			cfg.Telemetry = &telemetry.Options{SampleEvery: 1 << 40}
+			eng, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check := func(burst int) map[string]float64 {
+				t.Helper()
+				g := eng.Gate()
+				store := map[string]int64{
+					"gate_arrivals_total":            int64(eng.Submitted()),
+					"gate_admitted_total":            int64(eng.admitted),
+					"gate_injected_total":            int64(eng.injected),
+					"gate_dropped_total":             int64(g.Dropped),
+					"gate_shed_total":                int64(g.Shed),
+					"gate_lost_undetected_total":     int64(g.LostUndetected),
+					"gate_retries_total":             int64(g.Retries),
+					"gate_bounced_total":             int64(g.Bounced),
+					"gate_buffered_total":            int64(g.Buffered),
+					"gate_detections_total":          int64(g.Detections),
+					"gate_detection_lag_ticks_total": g.DetectionLagTicks,
+				}
+				got := map[string]float64{}
+				for _, sv := range eng.Telemetry().Snapshot().Scalars {
+					if sv.Kind != telemetry.KindCounter {
+						continue
+					}
+					want, ok := store[sv.Name]
+					if !ok {
+						t.Fatalf("counter %s has no store to check against", sv.Name)
+					}
+					if sv.Value != float64(want) {
+						t.Fatalf("after burst %d: %s = %v, its store holds %d", burst, sv.Name, sv.Value, want)
+					}
+					got[sv.Name] = sv.Value
+				}
+				if len(got) != len(store) {
+					t.Fatalf("snapshot has %d counters, want %d", len(got), len(store))
+				}
+				if in, want := eng.InFlight(), eng.Submitted()-eng.LiveCounts().Total; in != want {
+					t.Fatalf("after burst %d: InFlight = %d, want Submitted − exits = %d", burst, in, want)
+				}
+				return got
+			}
+			tasks := clusterWorkload(t, matrix, 150, 42)
+			sort.SliceStable(tasks, func(i, j int) bool { return tasks[i].Arrival < tasks[j].Arrival })
+			if err := eng.StartLive(nil); err != nil {
+				t.Fatal(err)
+			}
+			// Quiesce moves the clock past later arrivals, so each burst is
+			// restamped to start no earlier than Now, as the daemon does.
+			var final map[string]float64
+			var shift int64
+			for b := 0; b*10 < len(tasks); b++ {
+				burst := tasks[b*10 : min(len(tasks), (b+1)*10)]
+				shift = max(shift, eng.Now()-burst[0].Arrival)
+				for _, tk := range burst {
+					tk.Arrival += shift
+					tk.Deadline += shift
+					if err := eng.SubmitLive(tk); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := eng.Quiesce(); err != nil {
+					t.Fatal(err)
+				}
+				final = check(b)
+			}
+			if n := eng.TelemetrySampler().Len(); n != 0 {
+				t.Fatalf("%d sample rows inside the run: the checks must read between boundaries", n)
+			}
+			idle := map[string]bool{}
+			for _, name := range tc.idle {
+				idle[name] = true
+			}
+			for name, v := range final {
+				if (v == 0) != idle[name] {
+					t.Errorf("%s = %v after the last burst (idle in this configuration: %v)", name, v, idle[name])
+				}
+			}
+		})
 	}
 }

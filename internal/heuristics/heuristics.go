@@ -214,8 +214,8 @@ type EvalCache struct {
 	free  []*taskEval // recycled taskEval records
 
 	// hits/misses count phase-one evaluation lookups served from (or
-	// missing) the cache — plain counters the telemetry sampler mirrors at
-	// sample boundaries, so the hot path stays free of probe handles.
+	// missing) the cache — plain counters the simulator's telemetry
+	// counters read, so the hot path stays free of probe handles.
 	hits   int64
 	misses int64
 

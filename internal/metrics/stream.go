@@ -198,10 +198,13 @@ type Counts struct {
 	Approx    int `json:"approx"`
 }
 
-// Counts returns the current raw exit tallies. Like Total it is a
-// single-goroutine read: on a shared stream call it only while observers
-// are quiescent.
+// Counts returns the current raw exit tallies (zero on a nil stream, before
+// any trial began). Like Total it is a single-goroutine read: on a shared
+// stream call it only while observers are quiescent.
 func (s *Stream) Counts() Counts {
+	if s == nil {
+		return Counts{}
+	}
 	return Counts{Total: s.total, Completed: s.completed, Missed: s.missed, Dropped: s.dropped, Approx: s.approx}
 }
 

@@ -190,11 +190,23 @@ func (b *OnlineBelief) RemainingEntry(t task.Type, mi int, factor float64, consu
 	return e
 }
 
-// Observations returns how many completions have been fed in.
-func (b *OnlineBelief) Observations() int64 { return b.observations }
+// Observations returns how many completions have been fed in (0 on a nil
+// receiver: a frozen or oracle belief observes nothing).
+func (b *OnlineBelief) Observations() int64 {
+	if b == nil {
+		return 0
+	}
+	return b.observations
+}
 
-// Refreshes returns how many cell rebuilds those observations triggered.
-func (b *OnlineBelief) Refreshes() int64 { return b.refreshes }
+// Refreshes returns how many cell rebuilds those observations triggered
+// (0 on a nil receiver).
+func (b *OnlineBelief) Refreshes() int64 {
+	if b == nil {
+		return 0
+	}
+	return b.refreshes
+}
 
 // CellMean returns the believed mean execution of type t on machine mi —
 // the learned mean once the cell has rebuilt, the prior's nominal mean

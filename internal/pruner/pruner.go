@@ -88,7 +88,6 @@ type Pruner struct {
 	cfg      Config
 	level    float64 // dτ, the EWMA oversubscription level
 	dropping bool    // current Schmitt-trigger state
-	events   int     // mapping events observed
 }
 
 // New creates a pruner. It panics on invalid configuration (catching
@@ -107,7 +106,6 @@ func (p *Pruner) Config() Config { return p.cfg }
 // mapping event (µτ) into the Eq. 8 EWMA and updates the dropping toggle.
 // It returns whether dropping is now engaged.
 func (p *Pruner) ObserveMappingEvent(missed int) bool {
-	p.events++
 	p.level = float64(missed)*p.cfg.Lambda + p.level*(1-p.cfg.Lambda)
 	if p.cfg.UseSchmitt {
 		off := p.cfg.ToggleOn * (1 - p.cfg.SchmittSeparation)
@@ -129,9 +127,6 @@ func (p *Pruner) Dropping() bool { return p.dropping }
 
 // Level returns the current EWMA oversubscription level dτ.
 func (p *Pruner) Level() float64 { return p.level }
-
-// Events returns how many mapping events have been observed.
-func (p *Pruner) Events() int { return p.events }
 
 // dropThresholdFor computes the effective dropping threshold for a queued
 // task (Eq. 7): base + ρ·(−s)/(κ+1), where s is the bounded skewness of the

@@ -64,9 +64,6 @@ func TestEWMAEquation8(t *testing.T) {
 	if got := p.Level(); math.Abs(got-2.5625) > 1e-12 {
 		t.Fatalf("level = %v, want 2.5625", got)
 	}
-	if p.Events() != 3 {
-		t.Errorf("Events = %d, want 3", p.Events())
-	}
 }
 
 func TestSingleThresholdToggle(t *testing.T) {

@@ -121,7 +121,7 @@ func (s *Server) replay(cfg *Config, tasks []*task.Task) (replayStats, error) {
 	if err != nil {
 		return replayStats{}, err
 	}
-	return replayStats{st: st, gateDrops: eng.GateDrops()}, nil
+	return replayStats{st: st, gateDrops: eng.Gate().Dropped}, nil
 }
 
 type replayStats struct {

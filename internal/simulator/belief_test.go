@@ -112,8 +112,8 @@ func TestOnlineBeliefObservesAndRefreshes(t *testing.T) {
 	}
 }
 
-// TestOnlineBeliefCounters: the simulator's observation/refresh counters
-// must reflect what the estimator saw.
+// TestOnlineBeliefCounters: under the online policy the estimator must
+// have seen completions and rebuilt cells from them.
 func TestOnlineBeliefCounters(t *testing.T) {
 	matrix := simPET(t)
 	cfg := MustConfigFor("MM", matrix)
@@ -131,18 +131,15 @@ func TestOnlineBeliefCounters(t *testing.T) {
 	if _, err := sim.Run(tasks); err != nil {
 		t.Fatal(err)
 	}
-	if sim.BeliefObservations() == 0 {
-		t.Fatal("no completions observed")
-	}
 	ob := sim.Belief()
 	if ob == nil {
 		t.Fatal("online policy but no estimator")
 	}
-	if int(ob.Observations()) != sim.BeliefObservations() {
-		t.Fatalf("simulator counted %d observations, estimator %d", sim.BeliefObservations(), ob.Observations())
+	if ob.Observations() == 0 {
+		t.Fatal("no completions observed")
 	}
-	if int(ob.Refreshes()) != sim.BeliefRefreshes() {
-		t.Fatalf("simulator counted %d refreshes, estimator %d", sim.BeliefRefreshes(), ob.Refreshes())
+	if ob.Refreshes() == 0 {
+		t.Fatal("observations triggered no belief refreshes")
 	}
 }
 

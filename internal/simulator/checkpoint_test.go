@@ -79,8 +79,8 @@ func TestCheckpointOverheadDelaysCompletion(t *testing.T) {
 	if tk.State != task.StateCompleted || tk.Finish != 36 {
 		t.Fatalf("state %v finish %d, want completed at 36 (30 exec + 2 checkpoints × 3)", tk.State, tk.Finish)
 	}
-	if tk.Checkpoints != 2 || sim.Checkpoints() != 2 {
-		t.Fatalf("checkpoints task=%d sim=%d, want 2 each", tk.Checkpoints, sim.Checkpoints())
+	if sim.Checkpoints() != 2 {
+		t.Fatalf("checkpoints = %d, want 2", sim.Checkpoints())
 	}
 }
 
@@ -106,8 +106,8 @@ func TestCheckpointRestoreOnFailure(t *testing.T) {
 	if tk.Machine != 1 || tk.State != task.StateCompleted {
 		t.Fatalf("task on m%d in state %v, want completed on survivor m1", tk.Machine, tk.State)
 	}
-	if tk.Consumed != 10 || tk.LastCheckpoint != 10 {
-		t.Fatalf("consumed %d, last checkpoint %d, want 10 banked at failure", tk.Consumed, tk.LastCheckpoint)
+	if tk.Consumed != 10 {
+		t.Fatalf("consumed %d, want 10 banked at failure", tk.Consumed)
 	}
 	if tk.Finish != 12+20 {
 		t.Fatalf("finish %d, want 32 (restored at 10 of 30 when the failure hit at 12)", tk.Finish)
@@ -156,8 +156,8 @@ func TestCheckpointMidWriteLost(t *testing.T) {
 	if sim.Restored() != 1 {
 		t.Fatalf("restored %d, want 1", sim.Restored())
 	}
-	if got := tk.LastCheckpoint; got != 5 {
-		t.Fatalf("last checkpoint %d, want 5 (checkpoint 2 was mid-write at the failure)", got)
+	if got := tk.Consumed; got != 5 {
+		t.Fatalf("consumed %d, want 5 (checkpoint 2 was mid-write at the failure)", got)
 	}
 }
 
@@ -188,8 +188,8 @@ func TestCheckpointUnreachedIntervalKeepsRunStartCredit(t *testing.T) {
 	if tk.Finish != 12+23 {
 		t.Fatalf("finish %d, want 35 (remaining 23 on the survivor from tick 12)", tk.Finish)
 	}
-	if tk.Checkpoints != 0 || sim.Checkpoints() != 0 {
-		t.Fatalf("checkpoints task=%d sim=%d, want none (no interval point reached)", tk.Checkpoints, sim.Checkpoints())
+	if sim.Checkpoints() != 0 {
+		t.Fatalf("checkpoints = %d, want none (no interval point reached)", sim.Checkpoints())
 	}
 	if sim.Restored() != 1 {
 		t.Fatalf("restored %d, want 1", sim.Restored())

@@ -243,7 +243,7 @@ func TestPrunerEngagesUnderOversubscription(t *testing.T) {
 	if sim.Pruner() == nil {
 		t.Fatal("PAM simulator has no pruner")
 	}
-	if sim.Pruner().Events() == 0 {
+	if sim.MappingEvents() == 0 {
 		t.Error("pruner observed no mapping events")
 	}
 	if st.Completed+st.Missed+st.Dropped != st.Window {

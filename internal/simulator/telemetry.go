@@ -2,28 +2,13 @@ package simulator
 
 import "taskprune/internal/telemetry"
 
-// simProbes is the simulator's probe catalog: one handle per metric, all
-// nil (inlined no-ops) when telemetry is disabled. Counters on event paths
-// are incremented in place; everything else is refreshed lazily by
-// prepareSample, so the hot path pays nothing between sample boundaries.
+// simProbes is the simulator's probe catalog. Its counters are read
+// functions over the simulator's own tallies (registered in newSimProbes),
+// so they hold no state here; the gauges are refreshed lazily by
+// prepareSample, and the batch-size histogram is the one handle an event
+// path touches. Every handle is nil (an inlined no-op) when telemetry is
+// disabled, so the hot path pays nothing between sample boundaries.
 type simProbes struct {
-	// Event-path counters.
-	arrivals      *telemetry.Counter
-	completed     *telemetry.Counter
-	approx        *telemetry.Counter
-	missed        *telemetry.Counter
-	dropped       *telemetry.Counter
-	mappingEvents *telemetry.Counter
-
-	// Sample-time mirrors of pre-existing engine counters.
-	prunerDrops *telemetry.Counter
-	evicted     *telemetry.Counter
-	requeued    *telemetry.Counter
-	restored    *telemetry.Counter
-	checkpoints *telemetry.Counter
-	cacheHits   *telemetry.Counter
-	cacheMisses *telemetry.Counter
-
 	// Sample-time gauges.
 	eventDepth  *telemetry.Gauge
 	batchDepth  *telemetry.Gauge
@@ -40,36 +25,40 @@ type simProbes struct {
 // batchSizeBounds buckets the per-mapping-event batch depth.
 var batchSizeBounds = []float64{1, 2, 4, 8, 16, 32, 64, 128}
 
-func newSimProbes(r *telemetry.Registry) simProbes {
+// newSimProbes registers the simulator's metrics on r. Each counter reads
+// the tally the simulator keeps anyway — exits from the streaming
+// collector, the rest from the fields behind the accessors of the same
+// name — so a sampled row, a snapshot and TrialStats can never disagree.
+func (s *Simulator) newSimProbes(r *telemetry.Registry) simProbes {
+	r.Counter("arrivals_total", "tasks admitted into the batch queue", func() int64 { return int64(s.arrivals) })
+	r.Counter("completed_total", "tasks completed on time", func() int64 { return int64(s.collector.Counts().Completed) })
+	r.Counter("approx_total", "tasks exiting as approximate completions", func() int64 { return int64(s.collector.Counts().Approx) })
+	r.Counter("missed_total", "tasks finishing after their deadlines", func() int64 { return int64(s.collector.Counts().Missed) })
+	r.Counter("dropped_total", "tasks dropped (deadline, pruner, failures)", func() int64 { return int64(s.collector.Counts().Dropped) })
+	r.Counter("mapping_events_total", "mapping events fired", func() int64 { return int64(s.mappingEvents) })
+	r.Counter("pruner_drops_total", "tasks dropped by the pruning mechanism", func() int64 { return int64(s.droppedByPruner) })
+	r.Counter("evicted_total", "executing tasks killed at their deadlines", func() int64 { return int64(s.evicted) })
+	r.Counter("requeued_total", "tasks requeued by machine/DC failures", func() int64 { return int64(s.requeued) })
+	r.Counter("restored_total", "failure requeues resumed from a checkpoint", func() int64 { return int64(s.restored) })
+	r.Counter("checkpoints_total", "checkpoint writes", func() int64 { return int64(s.checkpoints) })
+	r.Counter("eval_cache_hits_total", "phase-one evaluations served from the eval cache", s.evalCache.Hits)
+	r.Counter("eval_cache_misses_total", "phase-one evaluations recomputed on cache miss", s.evalCache.Misses)
 	return simProbes{
-		arrivals:      r.Counter("arrivals_total", "tasks admitted into the batch queue"),
-		completed:     r.Counter("completed_total", "tasks completed on time"),
-		approx:        r.Counter("approx_total", "tasks exiting as approximate completions"),
-		missed:        r.Counter("missed_total", "tasks finishing after their deadlines"),
-		dropped:       r.Counter("dropped_total", "tasks dropped (deadline, pruner, failures)"),
-		mappingEvents: r.Counter("mapping_events_total", "mapping events fired"),
-		prunerDrops:   r.Counter("pruner_drops_total", "tasks dropped by the pruning mechanism"),
-		evicted:       r.Counter("evicted_total", "executing tasks killed at their deadlines"),
-		requeued:      r.Counter("requeued_total", "tasks requeued by machine/DC failures"),
-		restored:      r.Counter("restored_total", "failure requeues resumed from a checkpoint"),
-		checkpoints:   r.Counter("checkpoints_total", "checkpoint writes"),
-		cacheHits:     r.Counter("eval_cache_hits_total", "phase-one evaluations served from the eval cache"),
-		cacheMisses:   r.Counter("eval_cache_misses_total", "phase-one evaluations recomputed on cache miss"),
-		eventDepth:    r.Gauge("event_queue_depth", "pending internal events (completions + fleet events)"),
-		batchDepth:    r.Gauge("batch_queue_depth", "tasks waiting in the batch queue"),
-		queuedLoad:    r.Gauge("machine_queued_load", "tasks held by machine queues, executing included"),
-		machinesUp:    r.Gauge("machines_up", "alive machines in this fleet"),
-		arenaHW:       r.Gauge("arena_blocks_highwater", "peak 512KiB arena blocks held by one mapping event"),
-		robustness:    r.Gauge("robustness_pct", "100 * on-time completions / exits so far"),
-		arrivalRate:   r.Gauge("arrival_rate", "arrivals per simulated tick over the last sample interval"),
-		batchSize:     r.Histogram("mapping_batch_size", "batch-queue depth at each mapping event", batchSizeBounds),
+		eventDepth:  r.Gauge("event_queue_depth", "pending internal events (completions + fleet events)"),
+		batchDepth:  r.Gauge("batch_queue_depth", "tasks waiting in the batch queue"),
+		queuedLoad:  r.Gauge("machine_queued_load", "tasks held by machine queues, executing included"),
+		machinesUp:  r.Gauge("machines_up", "alive machines in this fleet"),
+		arenaHW:     r.Gauge("arena_blocks_highwater", "peak 512KiB arena blocks held by one mapping event"),
+		robustness:  r.Gauge("robustness_pct", "100 * on-time completions / exits so far"),
+		arrivalRate: r.Gauge("arrival_rate", "arrivals per simulated tick over the last sample interval"),
+		batchSize:   r.Histogram("mapping_batch_size", "batch-queue depth at each mapping event", batchSizeBounds),
 	}
 }
 
-// prepareSample refreshes the lazily maintained probes just before the
-// sampler records a row. Everything read here is a pure function of the
-// simulator's deterministic state at the sample boundary, so sampled rows
-// replay byte-for-byte with the decision stream.
+// prepareSample refreshes the gauges just before the sampler records a
+// row. Everything read here is a pure function of the simulator's
+// deterministic state at the sample boundary, so sampled rows replay
+// byte-for-byte with the decision stream.
 func (s *Simulator) prepareSample() {
 	p := &s.pr
 	p.eventDepth.Set(float64(s.events.Len()))
@@ -84,23 +73,14 @@ func (s *Simulator) prepareSample() {
 	p.queuedLoad.Set(float64(queued))
 	p.machinesUp.Set(float64(up))
 	p.arenaHW.Set(float64(s.arena.HighWater()))
-	p.prunerDrops.Sync(int64(s.droppedByPruner))
-	p.evicted.Sync(int64(s.evicted))
-	p.requeued.Sync(int64(s.requeued))
-	p.restored.Sync(int64(s.restored))
-	p.checkpoints.Sync(int64(s.checkpoints))
-	p.cacheHits.Sync(s.evalCache.Hits())
-	p.cacheMisses.Sync(s.evalCache.Misses())
-	done := p.completed.Value()
-	exits := done + p.approx.Value() + p.missed.Value() + p.dropped.Value()
+	exits := s.collector.Counts()
 	rob := 0.0
-	if exits > 0 {
-		rob = 100 * float64(done) / float64(exits)
+	if exits.Total > 0 {
+		rob = 100 * float64(exits.Completed) / float64(exits.Total)
 	}
 	p.robustness.Set(rob)
-	arr := p.arrivals.Value()
-	p.arrivalRate.Set(float64(arr-s.lastArrivals) / float64(s.sampler.Every()))
-	s.lastArrivals = arr
+	p.arrivalRate.Set(float64(s.arrivals-s.lastArrivals) / float64(s.sampler.Every()))
+	s.lastArrivals = s.arrivals
 }
 
 // Telemetry returns the simulator's probe registry (nil when disabled).

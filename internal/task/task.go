@@ -78,16 +78,10 @@ type Task struct {
 
 	// Consumed is the nominal execution progress the task carries into
 	// its next run: the credit a checkpoint restore (or a cross-DC
-	// failover of that credit) left it with, zero otherwise.
+	// failover of that credit) left it with, zero otherwise. Under
+	// checkpointing it is also the task's restore point: a failure banks
+	// its last completed checkpoint here.
 	Consumed int64
-
-	// Checkpoint/restore state: LastCheckpoint is the cumulative nominal
-	// progress (in the same machine-independent ticks as Consumed) at the
-	// task's last completed checkpoint — the point a machine failure
-	// restores it to; Checkpoints counts how many checkpoints it has
-	// written across all runs. Both stay zero when checkpointing is off.
-	LastCheckpoint int64
-	Checkpoints    int
 }
 
 // New constructs a pending task. TrueExec is filled in by the workload

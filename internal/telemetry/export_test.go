@@ -11,7 +11,7 @@ import (
 
 func sampleShard() Shard {
 	r := NewRegistry()
-	r.Counter("done_total", "finished tasks").Add(12)
+	r.Counter("done_total", "finished tasks", func() int64 { return 12 })
 	r.Gauge("depth", "queue depth").Set(3.5)
 	h := r.Histogram("lag", "detection lag", []float64{10, 50})
 	h.Observe(5)
@@ -82,11 +82,12 @@ func TestWriteText(t *testing.T) {
 
 func TestWriteSamplersCSV(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("done_total", "")
+	var done int64
+	r.Counter("done_total", "", func() int64 { return done })
 	s := NewSampler(r, &Options{SampleEvery: 100, RingCap: 8})
-	c.Add(2)
+	done += 2
 	s.Tick(100)
-	c.Add(3)
+	done += 3
 	s.Tick(200)
 	var sb strings.Builder
 	if err := WriteSamplersCSV(&sb, []ScopedSampler{{Scope: "dc0", S: s}, {Scope: "empty", S: nil}}); err != nil {
@@ -100,9 +101,8 @@ func TestWriteSamplersCSV(t *testing.T) {
 
 func TestWriteSamplersJSON(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("done_total", "")
+	r.Counter("done_total", "", func() int64 { return 2 })
 	s := NewSampler(r, &Options{SampleEvery: 100, RingCap: 8})
-	c.Add(2)
 	s.Tick(100)
 	var sb strings.Builder
 	if err := WriteSamplersJSON(&sb, []ScopedSampler{{Scope: "dc0", S: s}}); err != nil {
@@ -167,10 +167,11 @@ func TestServerConcurrentPublish(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			r := NewRegistry()
-			c := r.Counter("n_total", "")
+			var n int64
+			r.Counter("n_total", "", func() int64 { return n })
 			scope := []string{"sim", "cluster", "dc0", "dc1"}[w]
 			for i := 0; i < 200; i++ {
-				c.Inc()
+				n++
 				srv.Publish(scope, r.Snapshot())
 			}
 		}(w)

@@ -20,7 +20,8 @@ type Sampler struct {
 
 	// Prepare, when set, runs just before each row is recorded; owners
 	// use it to refresh gauges that are too hot to maintain per event
-	// (queue depths, cache hit mirrors, arrival rates).
+	// (queue depths, arrival rates). Counters need no refresh: the row
+	// reads them from their owner's store.
 	Prepare func()
 	// OnSample, when set, runs after each row is recorded with the
 	// boundary tick — the publish hook for live export.

@@ -4,19 +4,28 @@
 // time-series rows, span-style phase timers, and Prometheus/JSON/CSV
 // export surfaces.
 //
+// A counter holds no count: it is a read function over a tally its owner
+// keeps anyway, called when the sampler records a row or a snapshot is
+// taken. The owner stays the one store of every count, so a counter cannot
+// drift from what the owner reports, and a snapshot taken between sample
+// boundaries reads every counter live. Gauges are levels the owner sets
+// just before each row.
+//
 // The contract that makes probes safe to leave in hot paths is
 // zero-cost-when-disabled: every handle method is a nil-receiver no-op, so
-// a nil *Registry hands out nil handles and the instrumented code runs the
-// exact same instructions (an inlined nil check) with zero allocations and
-// zero behavior change. Goldens and allocation baselines recorded with
-// telemetry off therefore stay byte-identical.
+// a nil *Registry hands out nil handles, ignores counter registration, and
+// the instrumented code runs the exact same instructions (an inlined nil
+// check) with zero allocations and zero behavior change. Goldens and
+// allocation baselines recorded with telemetry off therefore stay
+// byte-identical.
 //
 // The contract that keeps parallel drivers deterministic is sharding:
-// handles are NOT synchronized. Each goroutine owns its own Registry (the
-// engine shard, one shard per DC simulator) and ticks its own sampler from
-// its own event sequence; shards are only read or merged at barriers, when
-// the owning goroutine is quiescent. No hot-path atomics, nothing for the
-// race detector to find.
+// handles and read functions are NOT synchronized. Each goroutine owns its
+// own Registry (the engine shard, one shard per DC simulator), whose read
+// functions read only that goroutine's state, and ticks its own sampler
+// from its own event sequence; shards are only read or merged at barriers,
+// when the owning goroutine is quiescent. No hot-path atomics, nothing for
+// the race detector to find.
 package telemetry
 
 // Kind distinguishes scalar metric flavors in snapshots and export.
@@ -36,40 +45,6 @@ func (k Kind) String() string {
 	return "gauge"
 }
 
-// Counter counts events. The zero of a registered counter is 0; a nil
-// counter (from a nil registry) ignores every call.
-type Counter struct{ v int64 }
-
-// Inc adds one.
-func (c *Counter) Inc() { c.Add(1) }
-
-// Add adds n (no-op on a nil receiver).
-func (c *Counter) Add(n int64) {
-	if c == nil {
-		return
-	}
-	c.v += n
-}
-
-// Sync overwrites the counter with an externally maintained cumulative
-// value. It exists for mirroring counters that predate the registry
-// (eval-cache hits, GateStats fields) at sample boundaries instead of
-// double-instrumenting their hot paths.
-func (c *Counter) Sync(v int64) {
-	if c == nil {
-		return
-	}
-	c.v = v
-}
-
-// Value returns the current count (0 on a nil receiver).
-func (c *Counter) Value() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.v
-}
-
 // Gauge holds an instantaneous level. A nil gauge ignores every call.
 type Gauge struct{ v float64 }
 
@@ -79,14 +54,6 @@ func (g *Gauge) Set(v float64) {
 		return
 	}
 	g.v = v
-}
-
-// Add moves the gauge by d (no-op on a nil receiver).
-func (g *Gauge) Add(d float64) {
-	if g == nil {
-		return
-	}
-	g.v += d
 }
 
 // Value returns the current level (0 on a nil receiver).
@@ -124,33 +91,17 @@ func (h *Histogram) Observe(v float64) {
 	h.n++
 }
 
-// Count returns the number of observations (0 on a nil receiver).
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.n
-}
-
-// Sum returns the sum of observed values (0 on a nil receiver).
-func (h *Histogram) Sum() float64 {
-	if h == nil {
-		return 0
-	}
-	return h.sum
-}
-
 type scalar struct {
-	name    string
-	help    string
-	kind    Kind
-	counter *Counter
-	gauge   *Gauge
+	name  string
+	help  string
+	kind  Kind
+	count func() int64 // KindCounter: the owner's read function
+	gauge *Gauge       // KindGauge
 }
 
 func (s *scalar) value() float64 {
 	if s.kind == KindCounter {
-		return float64(s.counter.Value())
+		return float64(s.count())
 	}
 	return s.gauge.Value()
 }
@@ -177,16 +128,16 @@ func (r *Registry) claim(name string) {
 	r.names[name] = true
 }
 
-// Counter registers a counter. Returns nil (a no-op handle) on a nil
-// registry; panics on a duplicate name, which is a programming error.
-func (r *Registry) Counter(name, help string) *Counter {
+// Counter registers a counter whose value is count(), read each time the
+// sampler records a row or a snapshot is taken. count must read state the
+// registry's owning goroutine owns. No-op on a nil registry; panics on a
+// duplicate name, which is a programming error.
+func (r *Registry) Counter(name, help string, count func() int64) {
 	if r == nil {
-		return nil
+		return
 	}
 	r.claim(name)
-	c := &Counter{}
-	r.scalars = append(r.scalars, &scalar{name: name, help: help, kind: KindCounter, counter: c})
-	return c
+	r.scalars = append(r.scalars, &scalar{name: name, help: help, kind: KindCounter, count: count})
 }
 
 // Gauge registers a gauge. Returns nil on a nil registry.

@@ -6,24 +6,21 @@ import (
 	"time"
 )
 
-// A nil registry must hand out nil handles whose every method is a no-op —
-// the zero-cost-when-disabled contract the hot paths rely on.
+// A nil registry must hand out nil handles whose every method is a no-op,
+// and must never call a counter's read function — the
+// zero-cost-when-disabled contract the hot paths rely on.
 func TestNilRegistryIsInert(t *testing.T) {
 	var r *Registry
-	c := r.Counter("a", "")
+	r.Counter("a", "", func() int64 { t.Fatal("nil registry read a counter"); return 0 })
 	g := r.Gauge("b", "")
 	h := r.Histogram("c", "", []float64{1, 2})
-	if c != nil || g != nil || h != nil {
-		t.Fatalf("nil registry handed out non-nil handles: %v %v %v", c, g, h)
+	if g != nil || h != nil {
+		t.Fatalf("nil registry handed out non-nil handles: %v %v", g, h)
 	}
-	c.Inc()
-	c.Add(5)
-	c.Sync(9)
 	g.Set(3)
-	g.Add(1)
 	h.Observe(1.5)
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Sum() != 0 {
-		t.Fatalf("nil handles accumulated state")
+	if g.Value() != 0 {
+		t.Fatalf("nil gauge accumulated state")
 	}
 	if names := r.ScalarNames(); names != nil {
 		t.Fatalf("nil registry has scalar names %v", names)
@@ -49,28 +46,25 @@ func TestNilRegistryIsInert(t *testing.T) {
 	}
 }
 
+// A counter is a read of its owner's store: every snapshot reads the
+// store's current value, with no sample boundary in between.
 func TestScalarSemantics(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("done_total", "finished things")
+	done := 5
+	r.Counter("done_total", "finished things", func() int64 { return int64(done) })
 	g := r.Gauge("depth", "queue depth")
-	c.Inc()
-	c.Add(4)
-	if c.Value() != 5 {
-		t.Fatalf("counter = %d, want 5", c.Value())
-	}
-	c.Sync(42)
-	if c.Value() != 42 {
-		t.Fatalf("Sync: counter = %d, want 42", c.Value())
-	}
-	g.Set(7)
-	g.Add(-2)
+	g.Set(5)
 	if g.Value() != 5 {
 		t.Fatalf("gauge = %v, want 5", g.Value())
 	}
 	snap := r.Snapshot()
-	if len(snap.Scalars) != 2 || snap.Scalars[0].Name != "done_total" || snap.Scalars[0].Value != 42 ||
-		snap.Scalars[1].Kind != KindGauge || snap.Scalars[1].Value != 5 {
+	if len(snap.Scalars) != 2 || snap.Scalars[0].Name != "done_total" || snap.Scalars[0].Kind != KindCounter ||
+		snap.Scalars[0].Value != 5 || snap.Scalars[1].Kind != KindGauge || snap.Scalars[1].Value != 5 {
 		t.Fatalf("snapshot = %+v", snap.Scalars)
+	}
+	done = 42
+	if v := r.Snapshot().Scalars[0].Value; v != 42 {
+		t.Fatalf("counter read %v after its store moved to 42", v)
 	}
 }
 
@@ -81,7 +75,7 @@ func TestDuplicateNamePanics(t *testing.T) {
 		}
 	}()
 	r := NewRegistry()
-	r.Counter("x", "")
+	r.Counter("x", "", func() int64 { return 0 })
 	r.Gauge("x", "")
 }
 
@@ -107,16 +101,17 @@ func TestHistogramBuckets(t *testing.T) {
 
 func TestSamplerBoundariesAndFlush(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("events_total", "")
+	var events int64
+	r.Counter("events_total", "", func() int64 { return events })
 	prepared := 0
 	s := NewSampler(r, &Options{SampleEvery: 100, RingCap: 8})
 	s.Prepare = func() { prepared++ }
-	c.Inc()
+	events++
 	s.Tick(50) // before the first boundary: no row
 	if s.Len() != 0 {
 		t.Fatalf("row recorded before the first boundary")
 	}
-	c.Inc()
+	events++
 	s.Tick(250) // crosses 100 and 200
 	if s.Len() != 2 || prepared != 2 {
 		t.Fatalf("len=%d prepared=%d, want 2,2", s.Len(), prepared)
@@ -143,7 +138,7 @@ func TestSamplerBoundariesAndFlush(t *testing.T) {
 
 func TestSamplerFlushOnBoundaryRecordsOnce(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("x_total", "")
+	r.Counter("x_total", "", func() int64 { return 0 })
 	s := NewSampler(r, &Options{SampleEvery: 100, RingCap: 8})
 	s.Flush(200) // crosses 100 and 200; the 200 row must not double
 	if s.Len() != 2 {
@@ -156,9 +151,8 @@ func TestSamplerFlushOnBoundaryRecordsOnce(t *testing.T) {
 
 func TestSamplerRingBound(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("n_total", "")
+	r.Counter("n_total", "", func() int64 { return 1 })
 	s := NewSampler(r, &Options{SampleEvery: 10, RingCap: 4})
-	c.Add(1)
 	s.Tick(100) // 10 boundaries → 10 rows, 4 retained
 	if s.Len() != 4 || s.Evicted() != 6 {
 		t.Fatalf("len=%d evicted=%d, want 4,6", s.Len(), s.Evicted())
@@ -170,7 +164,7 @@ func TestSamplerRingBound(t *testing.T) {
 
 func TestSamplerOnSampleHook(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("x_total", "")
+	r.Counter("x_total", "", func() int64 { return 0 })
 	s := NewSampler(r, &Options{SampleEvery: 50, RingCap: 4})
 	var ticks []int64
 	s.OnSample = func(tick int64) { ticks = append(ticks, tick) }

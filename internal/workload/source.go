@@ -88,8 +88,6 @@ func getTask(nm int) *task.Task {
 	t.Finish = 0
 	t.Defers = 0
 	t.Consumed = 0
-	t.LastCheckpoint = 0
-	t.Checkpoints = 0
 	return t
 }
 
