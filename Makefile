@@ -166,8 +166,9 @@ lint:
 # near-threshold and mixed), one MM mapping event (two free slots per
 # machine, one open machine, every machine full) and one MOC mapping
 # event (two-free and one-free); one walk of a full machine queue (tail
-# rebuild and pruner pass), one dispatch decision per routing policy, and
-# the convolution-core allocation guards.
+# rebuild and pruner pass), one dispatch decision per routing policy, the
+# convolution-core allocation guards, one exit folded into the metrics
+# stream (in-order and tied) and one event-queue pop and push.
 # The cluster trials run several iterations so the reported numbers are
 # warm steady state, not first-run cache warm-up.
 bench-smoke:
@@ -177,6 +178,8 @@ bench-smoke:
 	$(GO) test -run xxx -bench TailPMF -benchtime 2000x -benchmem ./internal/machine/
 	$(GO) test -run xxx -bench Pick -benchtime 2000x -benchmem ./internal/cluster/
 	$(GO) test -run xxx -bench Convolve -benchtime 100x -benchmem ./internal/pmf/
+	$(GO) test -run xxx -bench StreamObserve -benchtime 100000x -benchmem ./internal/metrics/
+	$(GO) test -run xxx -bench EventQueue -benchtime 100000x -benchmem ./internal/eventq/
 
 # Full benchmark sweep, recorded as BENCH_<date>.json so the performance
 # trajectory of the repo is machine-readable PR over PR. Three iterations

@@ -398,3 +398,52 @@ func TestFailoverConfigPrecedence(t *testing.T) {
 		t.Fatal("malformed failover policy accepted on a static scenario")
 	}
 }
+
+// pinPolicy sends task 1 to datacenter 1 and every other task to the first
+// believed-healthy datacenter.
+type pinPolicy struct{}
+
+func (pinPolicy) Name() string { return "pin" }
+
+func (pinPolicy) Pick(_ int64, t *task.Task, dcs []*DC) int {
+	if t.ID == 1 || !dcs[0].Alive() {
+		return 1
+	}
+	return 0
+}
+
+// TestInjectedTaskExpiresOnTime: a task failed over into another
+// datacenter's batch exits dropped at that datacenter's first event past
+// its deadline, although its deadline precedes every deadline the batch
+// already held. Datacenter 1's machines (3–5) start down, so A (deadline
+// 100), drained from datacenter 0 at tick 10, and C (deadline 1000) wait in
+// its batch until machine 3 recovers at 150.
+func TestInjectedTaskExpiresOnTime(t *testing.T) {
+	matrix := clusterPET(t)
+	sc := scenario.New("inject-expiry").StartDown(3, 4, 5).DCFailAt(10, 0, scenario.Requeue).RecoverAt(150, 3)
+	eng, err := New(clusterConfig(t, "MM", matrix, 2, pinPolicy{}, sc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fixed := func(id int, deadline, exec int64) *task.Task {
+		tk := task.New(id, 0, 0, deadline)
+		tk.TrueExec = make([]int64, matrix.NumMachines())
+		for mi := range tk.TrueExec {
+			tk.TrueExec[mi] = exec
+		}
+		return tk
+	}
+	a, c := fixed(0, 100, 50), fixed(1, 1000, 20)
+	if _, _, err := eng.RunSource(workload.FromTasks([]*task.Task{a, c})); err != nil {
+		t.Fatal(err)
+	}
+	if eng.injected != 1 {
+		t.Fatalf("dc-fail injected %d tasks into datacenter 1, want A", eng.injected)
+	}
+	if a.State != task.StateDropped || a.Finish != 150 {
+		t.Errorf("injected A (deadline 100) exits %v at %d, want dropped at the recovery, 150", a.State, a.Finish)
+	}
+	if c.State != task.StateCompleted {
+		t.Errorf("C exits %v, want completed after the recovery", c.State)
+	}
+}

@@ -53,10 +53,11 @@ func (e *Engine) begin(rec workload.Recycler) {
 
 // submit admits one task at its stamped Arrival tick: pending events
 // strictly before the arrival fire first, then the task routes through
-// the gate and dispatcher. Arrivals must be non-decreasing across calls.
+// the gate and dispatcher. A task stamped before the engine clock (Now)
+// is rejected before anything counts or routes it.
 func (e *Engine) submit(t *task.Task) error {
-	if t.Arrival < e.lastArrival {
-		return fmt.Errorf("cluster: task %d arrives at %d before the previous submission's %d", t.ID, t.Arrival, e.lastArrival)
+	if now := e.Now(); t.Arrival < now {
+		return fmt.Errorf("cluster: task %d arrives at %d, before the engine clock %d", t.ID, t.Arrival, now)
 	}
 	e.lastArrival = t.Arrival
 	if err := e.stepBefore(t.Arrival); err != nil {

@@ -3,6 +3,7 @@ package cluster
 import (
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"taskprune/internal/scenario"
@@ -165,6 +166,55 @@ func TestQuiesceIdleLeavesFutureEvents(t *testing.T) {
 	}
 	if eng.Now() != 0 {
 		t.Fatalf("idle Quiesce moved the clock to %d", eng.Now())
+	}
+}
+
+// TestSubmitLiveChecksClock: once Quiesce has moved the clock past a
+// task's stamp, SubmitLive rejects the task by name before routing counts
+// it, on a single-DC engine and on a sharded one alike, and a task stamped
+// at Now is accepted.
+func TestSubmitLiveChecksClock(t *testing.T) {
+	matrix := clusterPET(t)
+	for _, dcs := range []int{1, 3} {
+		eng, err := New(clusterConfig(t, "PAM", matrix, dcs, nil, nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := eng.StartLive(nil); err != nil {
+			t.Fatal(err)
+		}
+		tasks := clusterWorkload(t, matrix, 2, 5)
+		first, stale := tasks[0], tasks[1]
+		first.Arrival = 1
+		if err := eng.SubmitLive(first); err != nil {
+			t.Fatal(err)
+		}
+		if err := eng.Quiesce(); err != nil {
+			t.Fatal(err)
+		}
+		now := eng.Now()
+		if now <= 1 {
+			t.Fatalf("%d DCs: Quiesce left the clock at %d", dcs, now)
+		}
+		submitted, inFlight := eng.Submitted(), eng.InFlight()
+		stale.ID, stale.Arrival = 42, 1
+		if err := eng.SubmitLive(stale); err == nil || !strings.Contains(err.Error(), "task 42 ") {
+			t.Errorf("%d DCs: task stamped 1 after the clock reached %d: err = %v", dcs, now, err)
+		}
+		if eng.Submitted() != submitted || eng.InFlight() != inFlight {
+			t.Errorf("%d DCs: rejected task moved Submitted %d→%d, InFlight %d→%d",
+				dcs, submitted, eng.Submitted(), inFlight, eng.InFlight())
+		}
+		stale.Arrival = now
+		if err := eng.SubmitLive(stale); err != nil {
+			t.Errorf("%d DCs: task stamped at Now (%d) rejected: %v", dcs, now, err)
+		}
+		if eng.Submitted() != submitted+1 {
+			t.Errorf("%d DCs: Submitted = %d after an accepted task, want %d", dcs, eng.Submitted(), submitted+1)
+		}
+		if st, _, err := eng.FinishLive(); err != nil || st.Total != 2 {
+			t.Errorf("%d DCs: FinishLive = %d exits, %v; want 2", dcs, st.Total, err)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package eventq
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -110,5 +111,32 @@ func TestPropHeapOrdering(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// BenchmarkEventQueue times one Pop and one Push at a steady depth: the
+// simulator keeps about one completion per busy machine queued (8 on the
+// paper's fleet, 32 on a large one), pops the earliest and schedules the
+// next run's completion a little later.
+func BenchmarkEventQueue(b *testing.B) {
+	for _, depth := range []int{8, 32} {
+		b.Run(fmt.Sprintf("depth-%d", depth), func(b *testing.B) {
+			r := rand.New(rand.NewSource(1))
+			gaps := make([]int64, 1024)
+			for i := range gaps {
+				gaps[i] = 1 + r.Int63n(200)
+			}
+			var q Queue
+			for i := 0; i < depth; i++ {
+				q.Push(Event{Tick: gaps[i], Kind: Completion, TaskID: i, Machine: i})
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				e, _ := q.Pop()
+				e.Tick += gaps[i%len(gaps)]
+				q.Push(e)
+			}
+		})
 	}
 }

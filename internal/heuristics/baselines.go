@@ -24,6 +24,9 @@ func (MM) Map(ctx *Context, batch []*task.Task) Result {
 		return Result{}
 	}
 	st := newScalarState(ctx)
+	if len(st.open) == 0 {
+		return Result{}
+	}
 	out := ctx.Cache.newResult()
 	defer func() { ctx.Cache.keepResult(&out) }()
 	remaining := ctx.Cache.takeRemaining(batch)
@@ -65,6 +68,9 @@ func (MSD) Map(ctx *Context, batch []*task.Task) Result {
 		return Result{}
 	}
 	st := newScalarState(ctx)
+	if len(st.open) == 0 {
+		return Result{}
+	}
 	out := ctx.Cache.newResult()
 	defer func() { ctx.Cache.keepResult(&out) }()
 	remaining := ctx.Cache.takeRemaining(batch)
@@ -109,6 +115,9 @@ func (MMU) Map(ctx *Context, batch []*task.Task) Result {
 		return Result{}
 	}
 	st := newScalarState(ctx)
+	if len(st.open) == 0 {
+		return Result{}
+	}
 	out := ctx.Cache.newResult()
 	defer func() { ctx.Cache.keepResult(&out) }()
 	remaining := ctx.Cache.takeRemaining(batch)

@@ -47,6 +47,9 @@ func (h MOC) Map(ctx *Context, batch []*task.Task) Result {
 		return Result{}
 	}
 	st := newProbState(ctx)
+	if len(st.open) == 0 {
+		return Result{}
+	}
 	out := st.cache.newResult()
 	defer func() { st.cache.keepResult(&out) }()
 	remaining := st.cache.takeRemaining(batch)

@@ -105,6 +105,9 @@ func pruningMap(ctx *Context, batch []*task.Task) Result {
 		return Result{}
 	}
 	st := newProbState(ctx)
+	if len(st.open) == 0 {
+		return Result{}
+	}
 	out := st.cache.newResult()
 	defer func() { st.cache.keepResult(&out) }()
 	remaining := st.cache.takeRemaining(batch)

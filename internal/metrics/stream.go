@@ -2,7 +2,6 @@ package metrics
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"taskprune/internal/stats"
@@ -22,8 +21,8 @@ type exitRec struct {
 }
 
 // before orders exit records by finish tick, ties by ID. Distinct tasks
-// have distinct IDs, so this is a strict total order and the bounded heaps
-// below select exactly the tasks a sort-based trim would.
+// have distinct IDs, so this is a strict total order and the windows below
+// keep exactly the tasks a sort-based trim would.
 func (a exitRec) before(b exitRec) bool {
 	if a.finish != b.finish {
 		return a.finish < b.finish
@@ -31,60 +30,57 @@ func (a exitRec) before(b exitRec) bool {
 	return a.id < b.id
 }
 
-// boundedHeap keeps the k extreme records of a stream: with max=true it is
-// a max-heap holding the k smallest (its root is the largest of them), with
-// max=false a min-heap holding the k largest.
-type boundedHeap struct {
-	recs []exitRec
-	k    int
-	max  bool
+// window keeps the k extreme records of a stream in ascending (finish, ID)
+// order, in a ring that starts at recs[first]: with low=true the k
+// smallest, with low=false the k largest. Exits mostly arrive in order, so
+// once full the low window rejects one with a single comparison against its
+// top, and the high window lets it take the slot of the bottom record it
+// evicts. Any other record is inserted from the top.
+type window struct {
+	recs  []exitRec
+	first int
+	k     int
+	low   bool
 }
 
-func (h *boundedHeap) higher(a, b exitRec) bool {
-	if h.max {
-		return b.before(a)
-	}
-	return a.before(b)
-}
-
-func (h *boundedHeap) add(r exitRec) {
-	if h.k == 0 {
+func (w *window) add(r exitRec) {
+	n := len(w.recs)
+	switch {
+	case n < w.k: // filling: nothing is evicted, so first stays 0
+		w.recs = append(w.recs, r)
+	case w.k == 0:
 		return
-	}
-	if len(h.recs) < h.k {
-		h.recs = append(h.recs, r)
-		i := len(h.recs) - 1
-		for i > 0 {
-			p := (i - 1) / 2
-			if !h.higher(h.recs[i], h.recs[p]) {
-				break
-			}
-			h.recs[i], h.recs[p] = h.recs[p], h.recs[i]
-			i = p
-		}
-		return
-	}
-	// Full: r belongs inside the kept extreme set iff it ranks below the
-	// root (the heap's least extreme member), which it then evicts.
-	if !h.higher(h.recs[0], r) {
-		return
-	}
-	h.recs[0] = r
-	i := 0
-	for {
-		l, m := 2*i+1, i
-		if l < len(h.recs) && h.higher(h.recs[l], h.recs[m]) {
-			m = l
-		}
-		if r := l + 1; r < len(h.recs) && h.higher(h.recs[r], h.recs[m]) {
-			m = r
-		}
-		if m == i {
+	case w.low:
+		top := w.slot(n - 1)
+		if !r.before(w.recs[top]) {
 			return
 		}
-		h.recs[i], h.recs[m] = h.recs[m], h.recs[i]
-		i = m
+		w.recs[top] = r
+		n--
+	default:
+		if !w.recs[w.first].before(r) {
+			return
+		}
+		w.recs[w.first] = r
+		w.first = w.slot(1)
+		n--
 	}
+	// r sits at position n; sink it to its place.
+	for ; n > 0; n-- {
+		i, j := w.slot(n), w.slot(n-1)
+		if !w.recs[i].before(w.recs[j]) {
+			return
+		}
+		w.recs[i], w.recs[j] = w.recs[j], w.recs[i]
+	}
+}
+
+// slot maps a position in the window's order to its index in recs.
+func (w *window) slot(pos int) int {
+	if i := w.first + pos; i < len(w.recs) {
+		return i
+	}
+	return w.first + pos - len(w.recs)
 }
 
 // Stream accumulates TrialStats incrementally from task exits, so a trial
@@ -93,7 +89,7 @@ func (h *boundedHeap) add(r exitRec) {
 // statistics over the steady-state window: the first and last trim exits in
 // (finish, ID) order are excluded, with the trim halved until a small trial
 // keeps at least one task. It keeps the trim smallest and trim largest exit
-// records in two bounded heaps and subtracts them from whole-stream
+// records in two sorted windows and subtracts them from whole-stream
 // counters; the tests pin the result against a sort-based reference.
 type Stream struct {
 	nTypes int
@@ -109,12 +105,12 @@ type Stream struct {
 	approx           int
 	defers           int
 
-	head boundedHeap // trim smallest exits
-	tail boundedHeap // trim largest exits
+	head window // trim smallest exits
+	tail window // trim largest exits
 
 	// mu, when set via Share, serializes Observe so several goroutines can
 	// feed one stream. Everything Observe folds in is order-invariant —
-	// integer tallies plus two bounded extreme-record heaps whose kept sets
+	// integer tallies plus two extreme-record windows whose kept sets
 	// depend only on the strict (finish, ID) total order — so Finalize
 	// returns the same TrialStats for any interleaving of the same exits.
 	mu *sync.Mutex
@@ -131,8 +127,8 @@ func NewStream(nTypes, trim int) *Stream {
 		trim:             trim,
 		perType:          make([]int, nTypes),
 		perTypeCompleted: make([]int, nTypes),
-		head:             boundedHeap{k: trim, max: true},
-		tail:             boundedHeap{k: trim, max: false},
+		head:             window{k: trim, low: true},
+		tail:             window{k: trim},
 	}
 }
 
@@ -228,8 +224,8 @@ func (s *Stream) Finalize(totalCost float64) TrialStats {
 	for s.total <= 2*trim && trim > 0 {
 		trim /= 2
 	}
-	s.exclude(&st, s.head.recs, trim, false)
-	s.exclude(&st, s.tail.recs, trim, true)
+	s.exclude(&st, &s.head, 0, trim)
+	s.exclude(&st, &s.tail, len(s.tail.recs)-trim, trim)
 	st.Window = st.Total - 2*trim
 	if st.Window > 0 {
 		st.RobustnessPct = 100 * float64(st.Completed) / float64(st.Window)
@@ -251,21 +247,12 @@ func (s *Stream) Finalize(totalCost float64) TrialStats {
 	return st
 }
 
-// exclude removes the n most extreme records of one heap from the window
-// counters (fromTail selects the largest n of the tail heap, otherwise the
-// smallest n of the head heap).
-func (s *Stream) exclude(st *TrialStats, recs []exitRec, n int, fromTail bool) {
-	if n == 0 {
-		return
-	}
-	ordered := append([]exitRec(nil), recs...)
-	sort.Slice(ordered, func(i, j int) bool { return ordered[i].before(ordered[j]) })
-	if fromTail {
-		ordered = ordered[len(ordered)-n:]
-	} else {
-		ordered = ordered[:n]
-	}
-	for _, r := range ordered {
+// exclude removes the n records of w from position from on out of the
+// window counters: the n smallest of the head window or the n largest of
+// the tail window.
+func (s *Stream) exclude(st *TrialStats, w *window, from, n int) {
+	for pos := from; pos < from+n; pos++ {
+		r := w.recs[w.slot(pos)]
 		st.PerTypeWindow[r.typ]--
 		st.TotalDefers -= r.defers
 		switch r.state {

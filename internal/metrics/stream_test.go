@@ -3,6 +3,7 @@ package metrics
 import (
 	"math/rand"
 	"reflect"
+	"sort"
 	"sync"
 	"testing"
 
@@ -32,31 +33,103 @@ func randomExits(r *rand.Rand, n, nTypes int) []*task.Task {
 	return out
 }
 
+// descendingTieExits builds runs of same-tick exits whose IDs descend
+// within each run, so nearly every exit ties its predecessor's tick and
+// ranks below it.
+func descendingTieExits(r *rand.Rand, n, nTypes int) []*task.Task {
+	out := randomExits(r, n, nTypes)
+	finish, id := int64(0), n
+	for i := 0; i < n; {
+		run := 1 + r.Intn(8)
+		finish += int64(1 + r.Intn(3))
+		for k := 0; k < run && i < n; k, i = k+1, i+1 {
+			id--
+			out[i].Finish, out[i].ID = finish, id
+		}
+	}
+	return out
+}
+
+// stepBackExits builds exits whose finish ticks now and then step back, as
+// in a cluster aggregate: one datacenter's end-of-trial flush jumps its
+// clock to a late deadline, then another datacenter's exits land earlier.
+func stepBackExits(r *rand.Rand, n, nTypes int) []*task.Task {
+	out := randomExits(r, n, nTypes)
+	finish := int64(0)
+	for i := range out {
+		switch r.Intn(10) {
+		case 0:
+			finish += int64(r.Intn(40))
+		case 1:
+			finish -= int64(r.Intn(40))
+		default:
+			finish += int64(r.Intn(2))
+		}
+		out[i].Finish = finish
+	}
+	return out
+}
+
 // TestStreamMatchesCollect: the streaming collector must return exactly
 // what Collect computes from the materialized exit list — same trimming,
 // same tie-breaks, same clamping on tiny trials — across random exit
-// sequences, trial sizes around the trim boundaries, and costs.
+// sequences, tie-heavy and out-of-order ones, trial sizes around the trim
+// boundaries, and costs.
 func TestStreamMatchesCollect(t *testing.T) {
 	r := rand.New(rand.NewSource(99))
 	sizes := []int{0, 1, 2, 3, 5, 10, 99, 100, 150, 199, 200, 201, 250, 400, 1000}
-	for _, trim := range []int{0, 1, 3, 100} {
-		for _, n := range sizes {
-			for rep := 0; rep < 3; rep++ {
-				exits := randomExits(r, n, 5)
-				cost := float64(r.Intn(100)) / 7
-				want := Collect(exits, 5, trim, cost)
-				s := NewStream(5, trim)
-				for _, tk := range exits {
-					s.Observe(tk)
-				}
-				got := s.Finalize(cost)
-				if !reflect.DeepEqual(want, got) {
-					t.Fatalf("trim=%d n=%d rep=%d: stream stats diverge from Collect\nwant %+v\ngot  %+v",
-						trim, n, rep, want, got)
+	gens := []struct {
+		name string
+		gen  func(*rand.Rand, int, int) []*task.Task
+	}{{"random", randomExits}, {"descending-ties", descendingTieExits}, {"step-back", stepBackExits}}
+	for _, g := range gens {
+		for _, trim := range []int{0, 1, 3, 100} {
+			for _, n := range sizes {
+				for rep := 0; rep < 3; rep++ {
+					exits := g.gen(r, n, 5)
+					cost := float64(r.Intn(100)) / 7
+					want := Collect(exits, 5, trim, cost)
+					s := NewStream(5, trim)
+					for _, tk := range exits {
+						s.Observe(tk)
+					}
+					got := s.Finalize(cost)
+					if !reflect.DeepEqual(want, got) {
+						t.Fatalf("%s trim=%d n=%d rep=%d: stream stats diverge from Collect\nwant %+v\ngot  %+v",
+							g.name, trim, n, rep, want, got)
+					}
+					ref := sortedRecs(exits)
+					k := min(trim, n)
+					if head := inOrder(&s.head); !reflect.DeepEqual(head, ref[:k]) {
+						t.Fatalf("%s trim=%d n=%d rep=%d: head window %v, want %v", g.name, trim, n, rep, head, ref[:k])
+					}
+					if tail := inOrder(&s.tail); !reflect.DeepEqual(tail, ref[n-k:]) {
+						t.Fatalf("%s trim=%d n=%d rep=%d: tail window %v, want %v", g.name, trim, n, rep, tail, ref[n-k:])
+					}
 				}
 			}
 		}
 	}
+}
+
+// sortedRecs is the sort-based reference for the windows: every exit's
+// record in (finish, ID) order.
+func sortedRecs(exits []*task.Task) []exitRec {
+	recs := make([]exitRec, len(exits))
+	for i, t := range exits {
+		recs[i] = exitRec{finish: t.Finish, id: t.ID, typ: t.Type, state: t.State, defers: t.Defers}
+	}
+	sort.Slice(recs, func(i, j int) bool { return recs[i].before(recs[j]) })
+	return recs
+}
+
+// inOrder lists a window's records in its ascending order.
+func inOrder(w *window) []exitRec {
+	out := make([]exitRec, len(w.recs))
+	for pos := range out {
+		out[pos] = w.recs[w.slot(pos)]
+	}
+	return out
 }
 
 // TestStreamNegativeTrim mirrors Collect's trim<0 clamp.
@@ -144,5 +217,37 @@ func TestStreamShareConcurrentObserve(t *testing.T) {
 	wg.Wait()
 	if want, got := seq.Finalize(3), shared.Finalize(3); !reflect.DeepEqual(want, got) {
 		t.Fatalf("shared stream diverges from sequential observation\nwant %+v\ngot  %+v", want, got)
+	}
+}
+
+// BenchmarkStreamObserve times one exit folded into a stream at the
+// default trim once both windows are full: in-order exits (each later than
+// the last, as most exits are) and tied ones (runs of eight at one tick in
+// descending ID order, each inserted into the tail window from the top).
+func BenchmarkStreamObserve(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		exit func(i int) (finish int64, id int)
+	}{
+		{"in-order", func(i int) (int64, int) { return int64(i), i }},
+		{"tied", func(i int) (int64, int) { return int64(i / 8), i/8*8 + 7 - i%8 }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			s := NewStream(5, DefaultTrim)
+			tk := &task.Task{State: task.StateCompleted}
+			observe := func(i int) {
+				tk.Finish, tk.ID = c.exit(i)
+				tk.Type = task.Type(i % 5)
+				s.Observe(tk)
+			}
+			for i := 0; i < 2*DefaultTrim; i++ {
+				observe(i)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				observe(2*DefaultTrim + i)
+			}
+		})
 	}
 }

@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"fmt"
 	"net/http"
 	"strings"
 	"testing"
@@ -58,5 +59,40 @@ func TestPumpPanicContained(t *testing.T) {
 	defer cancel()
 	if err := s.Drain(ctx); err == nil || !strings.Contains(err.Error(), "injected pick fault") {
 		t.Errorf("drain after pump panic = %v, want the recovered panic", err)
+	}
+}
+
+// TestPumpBoundsBurst: a backlog larger than DefaultQueue reaches the
+// engine in bursts of at most DefaultQueue tasks, each settled before the
+// next is admitted at a later clock, while a backlog that fits one burst
+// still arrives at one tick.
+func TestPumpBoundsBurst(t *testing.T) {
+	for _, n := range []int{1000, DefaultQueue} {
+		s, h := newTestServer(t, func(c *Config) { c.Queue = 1024 })
+		body := fmt.Sprintf(`{"tasks":[{"type":0,"count":%d}]}`, n)
+		if w := do(t, h, "POST", "/v1/tasks", body); w.Code != http.StatusAccepted {
+			t.Fatalf("submit %d = %d: %s", n, w.Code, w.Body)
+		}
+		s.Start()
+		drain(t, s)
+		tasks := s.win.tasks()
+		if len(tasks) != n {
+			t.Fatalf("window holds %d of %d submissions", len(tasks), n)
+		}
+		perTick := map[int64]int{}
+		for i, tk := range tasks {
+			if i > 0 && tk.Arrival < tasks[i-1].Arrival {
+				t.Fatalf("backlog %d: task %d arrives at %d after %d", n, tk.ID, tk.Arrival, tasks[i-1].Arrival)
+			}
+			perTick[tk.Arrival]++
+		}
+		for tick, k := range perTick {
+			if k > DefaultQueue {
+				t.Errorf("backlog %d: %d tasks share tick %d, more than %d", n, k, tick, DefaultQueue)
+			}
+		}
+		if n <= DefaultQueue && len(perTick) != 1 {
+			t.Errorf("backlog %d arrived over %d ticks, want one", n, len(perTick))
+		}
 	}
 }

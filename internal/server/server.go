@@ -151,10 +151,15 @@ func (s *Server) Telemetry() *telemetry.Server { return s.tel }
 
 // pump is the engine-owning goroutine: it blocks on the submission
 // channel, admits each burst in arrival order, settles the engine between
-// bursts, and publishes a fresh status snapshot. It exits when the source
-// is closed and drained (graceful shutdown), the engine errors, or
-// something under it panics — a panic is contained and reported, not a
-// process crash.
+// bursts, and publishes a fresh status snapshot. A burst is at most
+// DefaultQueue tasks, the most a default deployment's buffer holds at
+// once: its tasks share one arrival tick and wait in the batch together,
+// so the cost per task grows with the burst, and an unbounded burst after
+// a stall would settle more slowly than new work arrives. Anything still
+// buffered is admitted by the next pass, at the clock that settle left.
+// It exits when the source is closed and drained (graceful shutdown), the
+// engine errors, or something under it panics — a panic is contained and
+// reported, not a process crash.
 func (s *Server) pump() {
 	defer close(s.done)
 	defer s.containPanic()
@@ -169,7 +174,7 @@ func (s *Server) pump() {
 		}
 		// Drain whatever else arrived while we worked, without blocking:
 		// one settle per burst, not per task.
-		for {
+		for n := 1; n < DefaultQueue; n++ {
 			t2, ok2, _ := s.src.Poll()
 			if !ok2 {
 				break

@@ -61,6 +61,41 @@ func TestScenarioFailureRequeuesTasks(t *testing.T) {
 	}
 }
 
+// TestRequeuedTaskExpiresOnTime: a task a machine failure returns to the
+// batch exits dropped at the first event past its deadline, even when its
+// deadline precedes every deadline the batch and the pending queues held
+// when the simulator last looked for expired tasks. On a one-machine
+// fleet: A runs from tick 0 (deadline 100); B (deadline 5) waits behind it
+// and drops at C's arrival, tick 6, which leaves C (deadline 1000) as the
+// earliest pending deadline; the failure at 10 requeues A and C, and the
+// recovery at 150 is the first event past A's deadline.
+func TestRequeuedTaskExpiresOnTime(t *testing.T) {
+	matrix := simPET(t)
+	cfg := baseConfig(t, "MM", matrix)
+	cfg.Machines = []int{0}
+	cfg.Scenario = scenario.New("requeue-expiry").FailAt(10, 0, scenario.Requeue).RecoverAt(150, 0)
+	sim, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b, c := fixedTask(0, 0, 0, 100, 50), fixedTask(1, 0, 0, 5, 50), fixedTask(2, 0, 6, 1000, 20)
+	if _, err := sim.Run([]*task.Task{a, b, c}); err != nil {
+		t.Fatal(err)
+	}
+	if b.State != task.StateDropped || b.Finish != 6 {
+		t.Fatalf("B exits %v at %d, want dropped at 6", b.State, b.Finish)
+	}
+	if sim.Requeued() != 2 {
+		t.Fatalf("failure requeued %d tasks, want A and C", sim.Requeued())
+	}
+	if a.State != task.StateDropped || a.Finish != 150 {
+		t.Errorf("requeued A (deadline 100) exits %v at %d, want dropped at the recovery, 150", a.State, a.Finish)
+	}
+	if c.State != task.StateCompleted {
+		t.Errorf("C exits %v, want completed after the recovery", c.State)
+	}
+}
+
 // TestScenarioFailureAtCompletionTick: a task whose genuine completion
 // lands on the exact tick of its machine's failure has finished its work —
 // it must exit completed, not be requeued or dropped (fleet events are
