@@ -23,7 +23,7 @@ METRICS_COVER_FLOOR   ?= 95.0
 TELEMETRY_COVER_FLOOR ?= 88.0
 SERVER_COVER_FLOOR    ?= 84.0
 
-.PHONY: build vet fmt-check test ci lint vulncheck bench bench-smoke bench-guard golden golden-update fuzz-smoke race-stream race-cluster race-telemetry race-serve cover check-tree serve-smoke docker-build
+.PHONY: build vet fmt-check test ci lint vulncheck bench bench-smoke bench-guard golden golden-update fuzz-smoke race-stream race-cluster race-telemetry race-serve cover check-tree serve-smoke docker-build loc calibrate-offset
 
 build:
 	$(GO) build ./...
@@ -144,6 +144,17 @@ check-tree:
 # SIGTERM, graceful exit 0 (see scripts/serve_smoke.sh).
 serve-smoke:
 	./scripts/serve_smoke.sh
+
+# Size of the program: non-test Go lines outside bench/, the count ROADMAP
+# and CHANGES.md quote.
+loc:
+	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l
+
+# Where the benchmark binary places main.calibrate within its 64-byte line
+# (PERF.md, "To add a table"), for the working tree or, with
+# REVS="parent change", for each git revision.
+calibrate-offset:
+	./scripts/calibrate_offset.sh $(REVS)
 
 # Static deployment image (build-only in CI; running it is the smoke
 # script's job, against the native binary).

@@ -7,26 +7,28 @@
 //
 // The engine interleaves the per-DC simulators over one global clock using
 // the simulator's stepping primitives, with a fixed tie order (arrivals
-// first, then cluster-scoped events, then per-DC events by index), so a
-// sharded trial replays byte-identically run over run — and a 1-DC cluster
-// is byte-identical to the plain single-fleet engine, which the
-// equivalence tests pin. Scenario dc-fail/dc-recover events model whole-DC
-// outages: a failed datacenter's tasks either drop or fail over to the
-// survivors through the same dispatcher that routes arrivals.
+// first, then the engine's own event queue, then per-DC events by index),
+// so a sharded trial replays byte-identically run over run — and a 1-DC
+// cluster is byte-identical to the plain single-fleet engine, which the
+// equivalence tests pin. The engine queue holds the scenario's
+// dc-fail/dc-recover events (whole-DC outages) beside the failover layer's
+// gate events, ordered by (tick, schedule order); New schedules the truth
+// events first, in declaration order, so they fire in (tick, declaration)
+// order and settle before any gate event at their tick. A failed
+// datacenter's tasks either drop or fail over to the survivors through
+// the same routing decision that routes arrivals.
 //
 // By default the dispatcher is an oracle: it sees outages the instant they
-// happen. A scenario (or Config) failover policy replaces that oracle with
-// a simulated health monitor — heartbeat detection lag, bounded gate
-// buffering with shedding, and retry/backoff re-dispatch; see failover.go.
+// happen. A scenario failover policy replaces that oracle with a simulated
+// health monitor — heartbeat detection lag, bounded gate buffering with
+// shedding, and retry/backoff re-dispatch; see failover.go.
 package cluster
 
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 
-	"taskprune/internal/machine"
 	"taskprune/internal/metrics"
 	"taskprune/internal/pet"
 	"taskprune/internal/scenario"
@@ -59,12 +61,6 @@ type Config struct {
 	// RecordDispatch retains the dispatcher's routing log (Dispatches) for
 	// auditing and the golden cluster traces.
 	RecordDispatch bool
-	// Failover configures the dispatcher's failure-detection and admission
-	// layer (health monitoring, gate buffering, retry/backoff). An explicit
-	// policy wins over one declared on Sim.Scenario; nil falls back to the
-	// scenario's, and a disabled policy keeps the oracle dispatcher
-	// byte-identical to engines built before the layer existed.
-	Failover *scenario.FailoverPolicy
 	// Parallel steps the datacenters concurrently, one goroutine per DC,
 	// through the wide-window driver (parallel.go) instead of interleaving
 	// them on the caller's goroutine. It needs round-robin routing — New
@@ -179,10 +175,10 @@ type Engine struct {
 	policy Policy
 	dcs    []*DC
 
-	// clusterEvents is the dc-fail/dc-recover schedule in (tick,
-	// declaration) order; evPos is the next to fire.
-	clusterEvents []scenario.Event
-	evPos         int
+	// events is the engine-level event queue: dc-fail/dc-recover truth
+	// events and the failover layer's gate events, ordered by (tick, seq).
+	events   eventHeap
+	eventSeq int
 
 	collector  *metrics.Stream
 	recycler   workload.Recycler
@@ -193,18 +189,14 @@ type Engine struct {
 	// Detection-and-admission layer state (failover.go). With a disabled
 	// policy only gateStats.Dropped ever moves.
 	fo        *scenario.FailoverPolicy
-	gate      gateHeap
-	gateSeq   int
 	epochs    []int
 	buf       []*task.Task
 	gateStats metrics.GateStats
 	lostByDC  []int
 
-	// Submission state (live.go): the last submission's arrival tick.
 	// liveOn is armed by StartLive, after which the engine is driven one
-	// submission at a time instead of by RunSource.
-	liveOn      bool
-	lastArrival int64
+	// submission at a time instead of by RunSource (live.go).
+	liveOn bool
 
 	// Gate tallies: fresh arrivals reaching the dispatcher, the ones
 	// admitted straight into a datacenter, and tasks injected into one
@@ -260,7 +252,7 @@ func New(cfg Config) (*Engine, error) {
 	if _, rr := policy.(*RoundRobin); cfg.Parallel && !rr {
 		return nil, fmt.Errorf("cluster: parallel stepping needs round-robin routing; %q reads datacenter state the stepping workers mutate", policy.Name())
 	}
-	clusterEvents, perDC, err := splitScenario(cfg.Sim.Scenario, nm, cfg.DCs)
+	truth, perDC, err := splitScenario(cfg.Sim.Scenario, nm, cfg.DCs)
 	if err != nil {
 		return nil, err
 	}
@@ -280,22 +272,29 @@ func New(cfg Config) (*Engine, error) {
 	if bp == nil && cfg.Sim.Scenario != nil {
 		bp = cfg.Sim.Scenario.Belief
 	}
-	// The failover policy is cluster-scoped (it configures the dispatcher,
-	// not the datacenters) and resolves like the others: explicit Config
-	// wins, else the scenario's. Validate here unconditionally — a static
+	// The failover policy is cluster-scoped: it configures the dispatcher,
+	// not the datacenters. Validate it here unconditionally — a static
 	// scenario skips ValidateCluster in splitScenario, but a malformed
 	// policy must still be rejected.
-	fo := cfg.Failover
-	if fo == nil && cfg.Sim.Scenario != nil {
+	var fo *scenario.FailoverPolicy
+	if cfg.Sim.Scenario != nil {
 		fo = cfg.Sim.Scenario.Failover
 	}
 	if err := fo.Validate(); err != nil {
 		return nil, fmt.Errorf("cluster: %w", err)
 	}
 	e := &Engine{
-		cfg: cfg, matrix: cfg.Sim.PET, policy: policy, clusterEvents: clusterEvents,
-		fo:     fo,
+		cfg: cfg, matrix: cfg.Sim.PET, policy: policy, fo: fo,
 		epochs: make([]int, cfg.DCs), lostByDC: make([]int, cfg.DCs),
+	}
+	// Truth events take the queue's first sequence numbers, so they fire in
+	// (tick, declaration) order and win ties against every gate event.
+	for _, ev := range truth {
+		kind := evDCRecover
+		if ev.Kind == scenario.DCFail {
+			kind = evDCFail
+		}
+		e.push(engineEvent{tick: ev.Tick, kind: kind, dc: ev.DC, drop: ev.Policy == scenario.Drop})
 	}
 	if cfg.Telemetry != nil {
 		e.tel = telemetry.NewRegistry()
@@ -374,8 +373,8 @@ func dcOfMachine(mi, nm, nDCs int) int {
 }
 
 // splitScenario validates a cluster scenario and splits it: cluster-scoped
-// dc-fail/dc-recover events are returned in (tick, declaration) order for
-// the engine, while machine-scoped events and InitialDown entries go to
+// dc-fail/dc-recover events are returned in declaration order for the
+// engine queue, while machine-scoped events and InitialDown entries go to
 // the owning datacenter's sub-scenario (machine IDs stay global; the
 // partitioned simulators resolve them). Burst windows stay with the
 // caller's workload configuration, exactly as in single-fleet runs.
@@ -387,7 +386,7 @@ func splitScenario(sc *scenario.Scenario, nm, nDCs int) ([]scenario.Event, []*sc
 	if err := sc.ValidateCluster(nm, nDCs); err != nil {
 		return nil, nil, fmt.Errorf("cluster: %w", err)
 	}
-	var clusterEvents []scenario.Event
+	var truth []scenario.Event
 	sub := func(d int) *scenario.Scenario {
 		if perDC[d] == nil {
 			perDC[d] = scenario.New(fmt.Sprintf("%s@dc%d", sc.Name, d))
@@ -396,7 +395,7 @@ func splitScenario(sc *scenario.Scenario, nm, nDCs int) ([]scenario.Event, []*sc
 	}
 	for _, ev := range sc.Events {
 		if ev.Kind == scenario.DCFail || ev.Kind == scenario.DCRecover {
-			clusterEvents = append(clusterEvents, ev)
+			truth = append(truth, ev)
 			continue
 		}
 		d := dcOfMachine(ev.Machine, nm, nDCs)
@@ -407,8 +406,7 @@ func splitScenario(sc *scenario.Scenario, nm, nDCs int) ([]scenario.Event, []*sc
 		s := sub(dcOfMachine(mi, nm, nDCs))
 		s.InitialDown = append(s.InitialDown, mi)
 	}
-	sort.SliceStable(clusterEvents, func(i, j int) bool { return clusterEvents[i].Tick < clusterEvents[j].Tick })
-	return clusterEvents, perDC, nil
+	return truth, perDC, nil
 }
 
 // RunSource runs the sharded trial to the end of the stream: arrivals are
@@ -444,25 +442,15 @@ func (e *Engine) RunSource(src workload.Source) (metrics.TrialStats, []metrics.T
 	return st, perDC, nil
 }
 
-// Sentinel dc values returned by nextEvent for engine-level event sources.
-const (
-	dcCluster = -1 // dc-fail/dc-recover truth schedule
-	dcGate    = -2 // gate-event queue (detection, trust, salvage, retry)
-)
-
 // nextEvent returns the earliest pending event across the cluster — the
-// engine's own dc-fail/dc-recover schedule, the gate-event queue, and
-// every datacenter's internal queue. Ties break cluster-first, then gate,
-// then lowest datacenter index: a fixed, documented order that keeps
-// multi-DC replays byte-identical (truth events settle before the belief
-// observations and retries that depend on them).
+// engine queue (dc -1) and every datacenter's internal queue. Ties break
+// engine queue first, then lowest datacenter index: a fixed, documented
+// order that keeps multi-DC replays byte-identical (truth events settle
+// before the belief observations and retries that depend on them, and
+// both before the datacenters step).
 func (e *Engine) nextEvent() (tick int64, dc int, ok bool) {
-	if e.evPos < len(e.clusterEvents) {
-		tick, dc, ok = e.clusterEvents[e.evPos].Tick, dcCluster, true
-	}
-	if t, has := e.nextGateTick(); has && (!ok || t < tick) {
-		tick, dc, ok = t, dcGate, true
-	}
+	tick, ok = e.nextEngineTick()
+	dc = -1
 	for i, d := range e.dcs {
 		if t, has := d.sim.NextEventTick(); has && (!ok || t < tick) {
 			tick, dc, ok = t, i, true
@@ -471,93 +459,14 @@ func (e *Engine) nextEvent() (tick int64, dc int, ok bool) {
 	return tick, dc, ok
 }
 
-// dispatch routes one arrival through the gate (routeArrival decides its
-// fate; admitted tasks enter their datacenter's simulator immediately —
-// this is the sequential path's admit step).
+// dispatch routes one arrival through the gate and admits it into the
+// picked datacenter's simulator — the sequential path's admit step.
 func (e *Engine) dispatch(t *task.Task) error {
-	d, admit, err := e.routeArrival(t)
-	if err != nil || !admit {
+	d, err := e.routeArrival(t)
+	if err != nil || d < 0 {
 		return err
 	}
 	return e.dcs[d].sim.Admit(t)
-}
-
-// pick runs the routing policy and validates its answer — a custom Policy
-// returning an out-of-range index or a dead datacenter is an error on
-// every dispatch path (arrivals and failover alike), never a panic or a
-// silent injection into a dead fleet.
-func (e *Engine) pick(now int64, t *task.Task) (int, error) {
-	d := e.policy.Pick(now, t, e.dcs)
-	if d < 0 || d >= len(e.dcs) || !e.dcs[d].healthy {
-		return 0, fmt.Errorf("cluster: policy %q picked datacenter %d (believed-healthy datacenters only)", e.policy.Name(), d)
-	}
-	return d, nil
-}
-
-// stepClusterEvent fires the next dc-fail/dc-recover and ticks the
-// engine's telemetry shard — both drivers call it with workers quiescent
-// at e.now, so the shard sequence is identical across drivers.
-func (e *Engine) stepClusterEvent() error {
-	err := e.applyClusterEvent()
-	e.sampler.Tick(e.now)
-	return err
-}
-
-// applyClusterEvent fires the next dc-fail/dc-recover — a ground-truth
-// transition. Under the oracle failover policy the dispatcher's belief
-// moves in the same step: a dc-fail drains the datacenter through the
-// simulator's FailDC and (under the Requeue policy) re-dispatches the
-// drained tasks to surviving datacenters in drain order through the same
-// routing policy as arrivals. Under heartbeat detection only the truth
-// moves here; the belief follows through the gate events that
-// scheduleDetection and the recovery probation plant.
-func (e *Engine) applyClusterEvent() error {
-	ev := e.clusterEvents[e.evPos]
-	e.evPos++
-	d := e.dcs[ev.DC]
-	switch ev.Kind {
-	case scenario.DCFail:
-		if !d.alive {
-			return nil // failing a failed datacenter is a no-op, like machine.Fail
-		}
-		e.bumpEpoch(ev.DC)
-		d.alive = false
-		if e.fo.Detection() && d.healthy {
-			e.scheduleDetection(d, ev.Tick, ev.Policy == scenario.Drop)
-			return nil
-		}
-		// Detected instantly: the oracle, or a refail during probation
-		// (the monitor never re-trusted the datacenter, so nothing about
-		// the belief changes — the drained tasks reroute immediately).
-		d.healthy = false
-		drained := d.sim.FailDC(ev.Tick, ev.Policy == scenario.Drop, e.scratch[:0])
-		for _, t := range drained {
-			if err := e.routeDrained(d, t, ev.Tick); err != nil {
-				e.scratch = drained[:0]
-				return err
-			}
-		}
-		e.scratch = drained[:0]
-	case scenario.DCRecover:
-		if d.alive {
-			return nil // recovering an in-service datacenter is a no-op
-		}
-		e.bumpEpoch(ev.DC)
-		d.alive = true
-		d.sim.RecoverDC(ev.Tick)
-		if e.fo.Detection() {
-			if !d.healthy {
-				// Re-trust only after the first post-recovery heartbeat
-				// plus the probation window.
-				hb := e.fo.EffectiveHeartbeatEvery()
-				e.pushGate(gateEvent{tick: heartbeatAt(ev.Tick, hb) + e.fo.Probation, kind: gevTrust, dc: ev.DC, epoch: e.epochs[ev.DC]})
-			}
-			return nil
-		}
-		d.healthy = true
-		return e.drainGateBuffer(ev.Tick)
-	}
-	return nil
 }
 
 func (e *Engine) record(d Dispatch) {
@@ -580,19 +489,6 @@ func (e *Engine) LostUndetectedByDC() []int { return e.lostByDC }
 
 // Failover returns the resolved failover policy (nil when disabled).
 func (e *Engine) Failover() *scenario.FailoverPolicy { return e.fo }
-
-// Policy returns the engine's dispatch policy.
-func (e *Engine) Policy() Policy { return e.policy }
-
-// Machines flattens every datacenter's fleet in partition order
-// (diagnostics and tests).
-func (e *Engine) Machines() []*machine.Machine {
-	var out []*machine.Machine
-	for _, d := range e.dcs {
-		out = append(out, d.sim.Machines()...)
-	}
-	return out
-}
 
 func errUnknownPolicy(name string) error {
 	return fmt.Errorf("cluster: unknown dispatch policy %q (have %s)", name, strings.Join(PolicyNames(), ", "))

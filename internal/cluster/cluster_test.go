@@ -645,3 +645,63 @@ func TestDoubleDCFailIsNoOp(t *testing.T) {
 		}
 	}
 }
+
+// TestClusterEventsDeclaredOutOfOrder: dc-fail/dc-recover events fire in
+// (tick, declaration) order whatever order the scenario declares them in.
+// The same schedule, declared sorted and shuffled under one name (the two
+// tick-140 events keep their relative order, and the recovery before the
+// fail decides where DC 2's drained tasks go), must replay the same record
+// under round-robin and pet-aware routing, with the oracle dispatcher and
+// with heartbeat detection behind a gate buffer.
+func TestClusterEventsDeclaredOutOfOrder(t *testing.T) {
+	matrix := clusterPET(t)
+	events := []scenario.Event{
+		{Tick: 60, Kind: scenario.DCFail, DC: 0, Policy: scenario.Requeue},
+		{Tick: 100, Kind: scenario.DCFail, DC: 1, Policy: scenario.Drop},
+		{Tick: 140, Kind: scenario.DCRecover, DC: 0},
+		{Tick: 140, Kind: scenario.DCFail, DC: 2, Policy: scenario.Requeue},
+		{Tick: 180, Kind: scenario.DCRecover, DC: 1},
+		{Tick: 220, Kind: scenario.DCRecover, DC: 2},
+	}
+	build := func(order []int, fo *scenario.FailoverPolicy) *scenario.Scenario {
+		sc := scenario.New("out-of-order")
+		for _, i := range order {
+			sc.Events = append(sc.Events, events[i])
+		}
+		if fo != nil {
+			sc = sc.WithFailover(*fo)
+		}
+		return sc
+	}
+	sorted := []int{0, 1, 2, 3, 4, 5}
+	shuffled := []int{5, 2, 1, 4, 0, 3}
+	heartbeat := &scenario.FailoverPolicy{
+		Kind: scenario.FailoverHeartbeat, HeartbeatEvery: 20, SuspectAfter: 2,
+		Probation: 20, BounceAfter: 10, MaxRetries: 3, RetryBase: 5, RetryCap: 20,
+		GateBuffer: 8, Shed: scenario.ShedDropOldest,
+	}
+	for _, route := range []string{"round-robin", "pet-aware"} {
+		for _, fo := range []*scenario.FailoverPolicy{nil, heartbeat} {
+			want, log, _, _ := clusterTrial(t, matrix, "PAM", route, build(sorted, fo))
+			got, _, _, _ := clusterTrial(t, matrix, "PAM", route, build(shuffled, fo))
+			if string(got) != string(want) {
+				t.Errorf("%s, detection %v: shuffled declaration replays differently from sorted", route, fo != nil)
+			}
+			if fo != nil {
+				continue
+			}
+			// Under the oracle, DC 0 is back in service when DC 2 fails at
+			// tick 140, so DC 2's drained tasks fail over into it; in the
+			// reverse order no datacenter would be up to take them.
+			into0 := 0
+			for _, d := range log {
+				if d.Tick == 140 && d.Failover && d.DC == 0 {
+					into0++
+				}
+			}
+			if into0 == 0 {
+				t.Errorf("%s: no drained task failed over into DC 0 at tick 140", route)
+			}
+		}
+	}
+}

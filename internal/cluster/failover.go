@@ -1,12 +1,14 @@
-// Detection-based failover: the engine-side half of scenario.FailoverPolicy.
+// The dispatcher: the engine's event queue, the one routing decision every
+// task reaching the dispatcher goes through (route), and detection-based
+// failover — the engine-side half of scenario.FailoverPolicy.
 //
 // PR 6 split the mapper's *knowledge* of execution times from the ground
 // truth; this file makes the same split for fleet health. Each datacenter
 // carries two flags: alive (ground truth, moved by dc-fail/dc-recover) and
 // healthy (what the dispatcher believes, moved by the simulated health
-// monitor). Under the oracle policy the two are identical and every code
-// path below is dormant — the engine is byte-identical to one built before
-// this file existed. Under heartbeat detection the belief lags the truth
+// monitor). Under the oracle policy the two are identical and every
+// detection path below is dormant — the engine is byte-identical to one
+// built before detection existed. Under heartbeat detection the belief lags the truth
 // in both directions:
 //
 //   - A failed datacenter keeps its healthy flag until the monitor misses
@@ -20,13 +22,15 @@
 //   - A recovered datacenter re-enters rotation only at its first
 //     post-recovery heartbeat plus the probation window.
 //
-// All of it runs through one engine-level queue of gate events ordered by
-// (tick, schedule order), merged into the cluster's deterministic tie
-// order as: arrivals, then cluster-scoped truth events, then gate events,
-// then per-DC internals. Detection and trust ticks are computed in closed
-// form from the heartbeat schedule and the static dc-fail/dc-recover
-// list, so the queue holds only O(outages + in-flight retries) events —
-// never a periodic heartbeat stream.
+// All of it runs through the engine queue, which holds the scenario's
+// dc-fail/dc-recover truth events beside the gate events below, ordered by
+// (tick, schedule order). The truth events are scheduled first, so within
+// a tick they fire in declaration order before any gate event; the
+// cluster's tie order is arrivals, then the engine queue, then per-DC
+// internals. Detection and trust ticks are computed in closed form from
+// the heartbeat schedule and the pending dc-recover events, so the queue
+// holds only O(outages + in-flight retries) events — never a periodic
+// heartbeat stream.
 //
 // The bounded gate buffer rides the same belief: when no datacenter is
 // believed healthy, arrivals (and re-dispatched tasks) enqueue in a FIFO
@@ -37,62 +41,71 @@
 package cluster
 
 import (
+	"fmt"
+
 	"taskprune/internal/scenario"
 	"taskprune/internal/task"
 	"taskprune/internal/telemetry"
 )
 
-// gateKind classifies an engine-level gate event.
-type gateKind int
+// eventKind classifies an engine-level event.
+type eventKind int
 
 const (
-	// gevDetect marks a datacenter believed-down: the health monitor
+	// evDCFail and evDCRecover are the scenario's ground-truth whole-DC
+	// transitions, scheduled by New in declaration order.
+	evDCFail eventKind = iota
+	evDCRecover
+	// evDetect marks a datacenter believed-down: the health monitor
 	// missed its SuspectAfter-th consecutive heartbeat.
-	gevDetect gateKind = iota
-	// gevTrust returns a recovered datacenter to rotation after its first
+	evDetect
+	// evTrust returns a recovered datacenter to rotation after its first
 	// post-recovery heartbeat plus the probation window, and drains the
 	// gate buffer into the newly believed-healthy fleet.
-	gevTrust
-	// gevSalvage releases the tasks an undetected dc-fail drained: they
+	evTrust
+	// evSalvage releases the tasks an undetected dc-fail drained: they
 	// re-enter the dispatcher at the tick the outage became known
 	// (detection, or the recovery if that came first).
-	gevSalvage
-	// gevRedispatch retries a dispatch that bounced off a
+	evSalvage
+	// evRedispatch retries a dispatch that bounced off a
 	// down-but-undetected datacenter, after the detection delay plus
 	// backoff.
-	gevRedispatch
+	evRedispatch
 )
 
-// gateEvent is one pending entry in the engine's gate queue.
-type gateEvent struct {
+// engineEvent is one pending entry in the engine's event queue.
+type engineEvent struct {
 	tick int64
 	seq  int // schedule order: the tie-break within a tick
-	kind gateKind
+	kind eventKind
 	dc   int
 
-	// epoch guards gevDetect/gevTrust against truth transitions that
+	// drop is an evDCFail's policy: the held tasks exit instead of failing
+	// over.
+	drop bool
+	// epoch guards evDetect/evTrust against truth transitions that
 	// happened after scheduling: a stale observation must not flip the
 	// belief of a datacenter whose truth has since moved on.
 	epoch int
-	// failTick is the true failure tick behind a gevDetect (lag metric).
+	// failTick is the true failure tick behind an evDetect (lag metric).
 	failTick int64
-	// attempt counts failed dispatches of a gevRedispatch's task.
+	// attempt counts failed dispatches of an evRedispatch's task.
 	attempt int
-	// task is the bounced task of a gevRedispatch.
+	// task is the bounced task of an evRedispatch.
 	task *task.Task
-	// tasks are the held drained tasks of a gevSalvage.
+	// tasks are the held drained tasks of an evSalvage.
 	tasks []*task.Task
 }
 
-// gateHeap is a binary min-heap of gate events ordered by (tick, seq) —
+// eventHeap is a binary min-heap of engine events ordered by (tick, seq) —
 // the deterministic fire order the drivers share.
-type gateHeap []gateEvent
+type eventHeap []engineEvent
 
-func (h gateHeap) before(i, j int) bool {
+func (h eventHeap) before(i, j int) bool {
 	return h[i].tick < h[j].tick || (h[i].tick == h[j].tick && h[i].seq < h[j].seq)
 }
 
-func (h gateHeap) up(i int) {
+func (h eventHeap) up(i int) {
 	for i > 0 {
 		p := (i - 1) / 2
 		if !h.before(i, p) {
@@ -103,7 +116,7 @@ func (h gateHeap) up(i int) {
 	}
 }
 
-func (h gateHeap) down(i int) {
+func (h eventHeap) down(i int) {
 	for {
 		l, r := 2*i+1, 2*i+2
 		m := i
@@ -121,34 +134,34 @@ func (h gateHeap) down(i int) {
 	}
 }
 
-// pushGate schedules a gate event, stamping its schedule order.
-func (e *Engine) pushGate(ev gateEvent) {
-	ev.seq = e.gateSeq
-	e.gateSeq++
-	e.gate = append(e.gate, ev)
-	e.gate.up(len(e.gate) - 1)
+// push schedules an engine event, stamping its schedule order.
+func (e *Engine) push(ev engineEvent) {
+	ev.seq = e.eventSeq
+	e.eventSeq++
+	e.events = append(e.events, ev)
+	e.events.up(len(e.events) - 1)
 }
 
-// popGate removes and returns the earliest gate event.
-func (e *Engine) popGate() gateEvent {
-	ev := e.gate[0]
-	last := len(e.gate) - 1
-	e.gate[0] = e.gate[last]
-	e.gate[last] = gateEvent{} // drop task references
-	e.gate = e.gate[:last]
+// pop removes and returns the earliest engine event.
+func (e *Engine) pop() engineEvent {
+	ev := e.events[0]
+	last := len(e.events) - 1
+	e.events[0] = e.events[last]
+	e.events[last] = engineEvent{} // drop task references
+	e.events = e.events[:last]
 	if last > 0 {
-		e.gate.down(0)
+		e.events.down(0)
 	}
 	return ev
 }
 
-// nextGateTick peeks the gate queue (the drivers' third sync source, after
-// arrivals and cluster truth events).
-func (e *Engine) nextGateTick() (int64, bool) {
-	if len(e.gate) == 0 {
+// nextEngineTick peeks the engine queue (the drivers' sync source after
+// arrivals).
+func (e *Engine) nextEngineTick() (int64, bool) {
+	if len(e.events) == 0 {
 		return 0, false
 	}
-	return e.gate[0].tick, true
+	return e.events[0].tick, true
 }
 
 // heartbeatAt returns the first heartbeat observation at or after tick t
@@ -160,16 +173,17 @@ func heartbeatAt(t, hb int64) int64 {
 	return (t + hb - 1) / hb * hb
 }
 
-// nextRecoverTick scans the remaining cluster schedule for dc's next
-// recovery — detection that would land at or after it never fires (the
-// monitor's missed-heartbeat count resets before reaching the threshold).
-func (e *Engine) nextRecoverTick(dc int) (int64, bool) {
-	for _, ev := range e.clusterEvents[e.evPos:] {
-		if ev.Kind == scenario.DCRecover && ev.DC == dc {
-			return ev.Tick, true
+// nextRecoverTick returns dc's earliest pending recovery — detection that
+// would land at or after it never fires (the monitor's missed-heartbeat
+// count resets before reaching the threshold). It scans the whole queue,
+// but runs at most once per dc-fail.
+func (e *Engine) nextRecoverTick(dc int) (tick int64, ok bool) {
+	for _, ev := range e.events {
+		if ev.kind == evDCRecover && ev.dc == dc && (!ok || ev.tick < tick) {
+			tick, ok = ev.tick, true
 		}
 	}
-	return 0, false
+	return tick, ok
 }
 
 // scheduleDetection handles a dc-fail the monitor has not seen: the
@@ -182,7 +196,7 @@ func (e *Engine) scheduleDetection(d *DC, failTick int64, drop bool) {
 	detectAt := heartbeatAt(failTick, hb) + int64(e.fo.EffectiveSuspectAfter()-1)*hb
 	recoverAt, hasRecover := e.nextRecoverTick(d.index)
 	if !hasRecover || detectAt < recoverAt {
-		e.pushGate(gateEvent{tick: detectAt, kind: gevDetect, dc: d.index, epoch: e.epochs[d.index], failTick: failTick})
+		e.push(engineEvent{tick: detectAt, kind: evDetect, dc: d.index, epoch: e.epochs[d.index], failTick: failTick})
 	}
 	drained := d.sim.FailDC(failTick, drop, nil)
 	if len(drained) == 0 {
@@ -192,155 +206,169 @@ func (e *Engine) scheduleDetection(d *DC, failTick int64, drop bool) {
 	if hasRecover && recoverAt < salvageAt {
 		salvageAt = recoverAt
 	}
-	e.pushGate(gateEvent{tick: salvageAt, kind: gevSalvage, dc: d.index, tasks: drained})
+	e.push(engineEvent{tick: salvageAt, kind: evSalvage, dc: d.index, tasks: drained})
 }
 
-// stepGateEvent fires the earliest gate event and ticks the engine's
-// telemetry shard — same quiescence contract as stepClusterEvent.
-func (e *Engine) stepGateEvent() error {
-	err := e.applyGateEvent()
+// stepEngineEvent fires the earliest engine event and ticks the engine's
+// telemetry shard. The caller has already set e.now to its tick, and — in
+// the wide-window driver — quiesced every worker at that tick, so touching
+// the simulators directly here reproduces the sequential interleave
+// exactly, and the shard sequence is identical across drivers.
+func (e *Engine) stepEngineEvent() error {
+	err := e.applyEngineEvent(e.pop())
 	e.sampler.Tick(e.now)
 	return err
 }
 
-// applyGateEvent fires the earliest gate event. The caller has already set
-// e.now to its tick, and — in the wide-window driver — quiesced every
-// worker at that tick, so touching the simulators directly here reproduces the
-// sequential interleave exactly.
-func (e *Engine) applyGateEvent() error {
-	ev := e.popGate()
+// applyEngineEvent fires one engine event. A dc-fail or dc-recover is a
+// ground-truth transition. Under the oracle failover policy the
+// dispatcher's belief moves in the same step: a dc-fail drains the
+// datacenter through the simulator's FailDC and (under the Requeue policy)
+// re-dispatches the drained tasks to surviving datacenters in drain order.
+// Under heartbeat detection only the truth moves there; the belief follows
+// through the gate events that scheduleDetection and the recovery
+// probation plant.
+func (e *Engine) applyEngineEvent(ev engineEvent) error {
+	d := e.dcs[ev.dc]
 	switch ev.kind {
-	case gevDetect:
+	case evDCFail:
+		if !d.alive {
+			return nil // failing a failed datacenter is a no-op, like machine.Fail
+		}
+		e.epochs[ev.dc]++
+		d.alive = false
+		if e.fo.Detection() && d.healthy {
+			e.scheduleDetection(d, ev.tick, ev.drop)
+			return nil
+		}
+		// Detected instantly: the oracle, or a refail during probation
+		// (the monitor never re-trusted the datacenter, so nothing about
+		// the belief changes — the drained tasks reroute immediately).
+		d.healthy = false
+		drained := d.sim.FailDC(ev.tick, ev.drop, e.scratch[:0])
+		var err error
+		for _, t := range drained {
+			if err = e.enter(t, ev.tick, 0, true, d); err != nil {
+				break
+			}
+		}
+		e.scratch = drained[:0]
+		return err
+	case evDCRecover:
+		if d.alive {
+			return nil // recovering an in-service datacenter is a no-op
+		}
+		e.epochs[ev.dc]++
+		d.alive = true
+		d.sim.RecoverDC(ev.tick)
+		if !e.fo.Detection() {
+			d.healthy = true
+			return e.drainGateBuffer(ev.tick)
+		}
+		if !d.healthy {
+			// Re-trust only after the first post-recovery heartbeat plus
+			// the probation window.
+			hb := e.fo.EffectiveHeartbeatEvery()
+			e.push(engineEvent{tick: heartbeatAt(ev.tick, hb) + e.fo.Probation, kind: evTrust, dc: ev.dc, epoch: e.epochs[ev.dc]})
+		}
+	case evDetect:
 		if ev.epoch != e.epochs[ev.dc] {
 			return nil // truth moved on; the observation is stale
 		}
-		e.dcs[ev.dc].healthy = false
+		d.healthy = false
 		e.gateStats.Detections++
 		e.gateStats.DetectionLagTicks += ev.tick - ev.failTick
 		e.pr.detectLag.Observe(float64(ev.tick - ev.failTick))
-	case gevTrust:
+	case evTrust:
 		if ev.epoch != e.epochs[ev.dc] {
 			return nil
 		}
-		e.dcs[ev.dc].healthy = true
+		d.healthy = true
 		return e.drainGateBuffer(ev.tick)
-	case gevSalvage:
+	case evSalvage:
 		for _, t := range ev.tasks {
-			if err := e.routeInjected(t, ev.tick, 0, true); err != nil {
+			if err := e.enter(t, ev.tick, 0, true, nil); err != nil {
 				return err
 			}
 		}
-	case gevRedispatch:
+	case evRedispatch:
 		if ev.task.Expired(ev.tick) || (e.fo.MaxRetries > 0 && ev.attempt > e.fo.MaxRetries) {
 			e.exitAtGate(ev.task, ev.tick, &e.gateStats.LostUndetected)
 			e.lostByDC[ev.dc]++
 			return nil
 		}
 		e.gateStats.Retries++
-		return e.routeInjected(ev.task, ev.tick, ev.attempt, true)
+		return e.enter(ev.task, ev.tick, ev.attempt, true, nil)
 	}
 	return nil
 }
 
-// routeArrival decides a fresh arrival's fate at its arrival tick and
-// reports where it went: (dc, true) means the caller must admit it into
-// that datacenter's simulator (drivers differ in how — direct Admit or
-// worker channel); (_, false) means the gate
-// already consumed it (buffered, dropped, or bounced into retry limbo).
-// It also counts the arrival, times the dispatch span, and ticks the
-// engine's telemetry shard — engine-owned state only, so the wide-window
-// driver may call it while workers are mid-window.
-func (e *Engine) routeArrival(t *task.Task) (int, bool, error) {
+// routeArrival routes a fresh arrival at its arrival tick, moving the
+// engine clock there, and returns the datacenter the caller must admit it
+// into (drivers differ in how — direct Admit or worker channel), or -1
+// when the gate consumed it. It also counts the arrival, times the
+// dispatch span, and ticks the engine's telemetry shard — engine-owned
+// state only, so the wide-window driver may call it while workers are
+// mid-window.
+func (e *Engine) routeArrival(t *task.Task) (int, error) {
 	t0 := e.phases.Start()
 	e.arrivals++
-	d, admit, err := e.gateArrival(t)
-	if admit {
+	e.now = t.Arrival
+	d, err := e.route(t, t.Arrival, 0, false, nil)
+	if d >= 0 {
 		e.admitted++
 	}
 	e.phases.Observe(telemetry.PhaseDispatch, t0)
 	e.sampler.Tick(e.now)
-	return d, admit, err
+	return d, err
 }
 
-// gateArrival is routeArrival's routing decision proper.
-func (e *Engine) gateArrival(t *task.Task) (int, bool, error) {
-	e.now = t.Arrival
-	if !e.anyHealthy() {
-		e.record(Dispatch{Tick: t.Arrival, TaskID: t.ID, DC: -1})
-		if e.fo.Buffered() {
-			e.bufferTask(t, t.Arrival)
-		} else {
-			e.exitAtGate(t, t.Arrival, &e.gateStats.Dropped)
-		}
-		return -1, false, nil
+// enter routes a task that re-enters the dispatcher after its arrival tick
+// — a salvaged or oracle-drained task, a bounced retry, or a buffer drain
+// — and injects it into the picked datacenter's batch queue.
+func (e *Engine) enter(t *task.Task, now int64, attempt int, failover bool, from *DC) error {
+	d, err := e.route(t, now, attempt, failover, from)
+	if d >= 0 {
+		e.injected++
+		e.dcs[d].sim.InjectRequeued(t, now)
 	}
-	d, err := e.pick(t.Arrival, t)
-	if err != nil {
-		return 0, false, err
-	}
-	e.record(Dispatch{Tick: t.Arrival, TaskID: t.ID, DC: d})
-	if !e.dcs[d].alive {
-		e.bounceDispatch(t, d, 1, t.Arrival)
-		return d, false, nil
-	}
-	return d, true, nil
+	return err
 }
 
-// routeInjected routes a task that re-enters the dispatcher after its
-// arrival tick — a salvaged drain, a bounced retry, or a buffer drain —
-// injecting it into the picked datacenter's batch queue. With no
-// believed-healthy datacenter it falls back to the gate buffer, or exits
-// at the gate.
-func (e *Engine) routeInjected(t *task.Task, now int64, attempt int, failover bool) error {
+// route is the dispatcher's one routing decision, for every task that
+// reaches it: attempt counts the task's prior failed dispatches, and
+// failover marks a re-route after an outage. With no believed-healthy
+// datacenter it records a gate dispatch, then buffers the task, or exits
+// it through from — the dead datacenter that drained it under oracle
+// detection, so the drop counts in that datacenter's stats — or drops it
+// at the gate. Otherwise it records the policy's pick; a pick that is down
+// but undetected bounces the task into retry limbo. It returns the picked
+// datacenter, or -1 when the gate consumed the task. A custom Policy
+// returning an out-of-range index or a datacenter not believed healthy is
+// an error, never a panic or a silent injection into a dead fleet.
+func (e *Engine) route(t *task.Task, now int64, attempt int, failover bool, from *DC) (int, error) {
 	if !e.anyHealthy() {
 		e.record(Dispatch{Tick: now, TaskID: t.ID, DC: -1, Failover: failover, Attempt: attempt})
-		if e.fo.Buffered() {
+		switch {
+		case e.fo.Buffered():
 			e.bufferTask(t, now)
-		} else {
+		case from != nil:
+			from.sim.DropInjected(t, now)
+		default:
 			e.exitAtGate(t, now, &e.gateStats.Dropped)
 		}
-		return nil
+		return -1, nil
 	}
-	d, err := e.pick(now, t)
-	if err != nil {
-		return err
+	d := e.policy.Pick(now, t, e.dcs)
+	if d < 0 || d >= len(e.dcs) || !e.dcs[d].healthy {
+		return -1, fmt.Errorf("cluster: policy %q picked datacenter %d (believed-healthy datacenters only)", e.policy.Name(), d)
 	}
 	e.record(Dispatch{Tick: now, TaskID: t.ID, DC: d, Failover: failover, Attempt: attempt})
 	if !e.dcs[d].alive {
 		e.bounceDispatch(t, d, attempt+1, now)
-		return nil
+		return -1, nil
 	}
-	e.injected++
-	e.dcs[d].sim.InjectRequeued(t, now)
-	return nil
-}
-
-// routeDrained re-dispatches one task drained by a *detected* dc-fail, at
-// the fail tick — the oracle-detection failover path. With no survivor it
-// buffers when the gate buffer is on, else exits the task through the dead
-// datacenter's simulator exactly as the engine always has.
-func (e *Engine) routeDrained(from *DC, t *task.Task, now int64) error {
-	if !e.anyHealthy() {
-		e.record(Dispatch{Tick: now, TaskID: t.ID, DC: -1, Failover: true})
-		if e.fo.Buffered() {
-			e.bufferTask(t, now)
-		} else {
-			from.sim.DropInjected(t, now)
-		}
-		return nil
-	}
-	to, err := e.pick(now, t)
-	if err != nil {
-		return err
-	}
-	e.record(Dispatch{Tick: now, TaskID: t.ID, DC: to, Failover: true})
-	if !e.dcs[to].alive {
-		e.bounceDispatch(t, to, 1, now)
-		return nil
-	}
-	e.injected++
-	e.dcs[to].sim.InjectRequeued(t, now)
-	return nil
+	return d, nil
 }
 
 // bounceDispatch puts a task whose dispatch landed on a
@@ -350,7 +378,7 @@ func (e *Engine) routeDrained(from *DC, t *task.Task, now int64) error {
 func (e *Engine) bounceDispatch(t *task.Task, dc, attempt int, now int64) {
 	e.gateStats.Bounced++
 	delay := e.fo.EffectiveBounceAfter() + e.fo.Backoff(attempt)
-	e.pushGate(gateEvent{tick: now + delay, kind: gevRedispatch, dc: dc, task: t, attempt: attempt})
+	e.push(engineEvent{tick: now + delay, kind: evRedispatch, dc: dc, task: t, attempt: attempt})
 }
 
 // bufferTask enqueues a task at the gate, shedding per the policy when the
@@ -403,7 +431,7 @@ func (e *Engine) drainGateBuffer(now int64) error {
 		copy(e.buf, e.buf[1:])
 		e.buf[len(e.buf)-1] = nil
 		e.buf = e.buf[:len(e.buf)-1]
-		if err := e.routeInjected(t, now, 0, false); err != nil {
+		if err := e.enter(t, now, 0, false, nil); err != nil {
 			return err
 		}
 	}
@@ -442,7 +470,3 @@ func (e *Engine) anyHealthy() bool {
 	}
 	return false
 }
-
-// bumpEpoch invalidates the in-flight belief observations of datacenter
-// dc; called at every applied truth transition.
-func (e *Engine) bumpEpoch(dc int) { e.epochs[dc]++ }

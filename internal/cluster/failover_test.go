@@ -377,24 +377,12 @@ func TestGoldenClusterDetect(t *testing.T) {
 	checkGolden(t, "golden_cluster_detect.csv", blob)
 }
 
-// TestFailoverConfigPrecedence: an explicit Config policy wins over the
-// scenario's, and a malformed policy is rejected at New even on a static
-// scenario (which skips cluster scenario validation entirely).
+// TestFailoverConfigPrecedence: a malformed failover policy is rejected at
+// New even on a static scenario (which skips cluster scenario validation
+// entirely).
 func TestFailoverConfigPrecedence(t *testing.T) {
-	matrix := clusterPET(t)
-	sc := scenario.New("pol").WithFailover(scenario.FailoverPolicy{GateBuffer: 4})
-	cfg := clusterConfig(t, "PAM", matrix, 3, nil, sc)
-	cfg.Failover = &scenario.FailoverPolicy{Kind: scenario.FailoverHeartbeat}
-	eng, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fo := eng.Failover(); !fo.Detection() || fo.GateBuffer != 0 {
-		t.Fatalf("explicit Config policy did not win: %+v", fo)
-	}
-	bad := clusterConfig(t, "PAM", matrix, 3, nil, nil) // static scenario
-	bad.Failover = &scenario.FailoverPolicy{GateBuffer: -1}
-	if _, err := New(bad); err == nil {
+	sc := scenario.New("bad").WithFailover(scenario.FailoverPolicy{GateBuffer: -1})
+	if _, err := New(clusterConfig(t, "PAM", clusterPET(t), 3, nil, sc)); err == nil {
 		t.Fatal("malformed failover policy accepted on a static scenario")
 	}
 }

@@ -13,9 +13,12 @@ import (
 //
 //   - begin allocates the cluster collector and readies every datacenter.
 //   - submit(t) fires every pending event strictly before t.Arrival
-//     (stepBefore), then dispatches t — arrivals win ties.
-//   - stepBefore(horizon) is the one stepping loop: submit's catch-up, and
-//     the batch drain at horizon math.MaxInt64.
+//     (stepBefore), then dispatches t — arrivals win ties. Routing moves
+//     the engine's one clock (e.now, which Now reports) to t.Arrival, as
+//     stepping moves it to each event's tick.
+//   - stepBefore(horizon) is the one stepping loop over nextEvent's merge
+//     of the engine queue and the datacenters' queues: submit's catch-up,
+//     and the batch drain at horizon math.MaxInt64.
 //   - finish exits anything still parked in the gate buffer, flushes the
 //     telemetry sampler at the cluster-wide end of time, and finalizes.
 //
@@ -56,10 +59,9 @@ func (e *Engine) begin(rec workload.Recycler) {
 // the gate and dispatcher. A task stamped before the engine clock (Now)
 // is rejected before anything counts or routes it.
 func (e *Engine) submit(t *task.Task) error {
-	if now := e.Now(); t.Arrival < now {
-		return fmt.Errorf("cluster: task %d arrives at %d, before the engine clock %d", t.ID, t.Arrival, now)
+	if t.Arrival < e.now {
+		return fmt.Errorf("cluster: task %d arrives at %d, before the engine clock %d", t.ID, t.Arrival, e.now)
 	}
-	e.lastArrival = t.Arrival
 	if err := e.stepBefore(t.Arrival); err != nil {
 		return err
 	}
@@ -81,18 +83,14 @@ func (e *Engine) stepBefore(horizon int64) error {
 }
 
 // stepNext fires the event nextEvent selected: it advances the engine
-// clock and routes engine-level events.
+// clock and steps the engine queue (dc -1) or datacenter dc.
 func (e *Engine) stepNext(tick int64, dc int) error {
 	e.now = tick
-	switch dc {
-	case dcCluster:
-		return e.stepClusterEvent()
-	case dcGate:
-		return e.stepGateEvent()
-	default:
-		e.dcs[dc].sim.StepEvent()
-		return nil
+	if dc < 0 {
+		return e.stepEngineEvent()
 	}
+	e.dcs[dc].sim.StepEvent()
+	return nil
 }
 
 // finish is RunSource's and FinishLive's tail: exit anything still parked
@@ -186,14 +184,9 @@ func (e *Engine) InFlight() int {
 func (e *Engine) Submitted() int { return e.arrivals }
 
 // Now returns the engine's clock: the tick of the last event or submission
-// it processed. Live producers stamp the next submission's Arrival at or
-// after this.
-func (e *Engine) Now() int64 {
-	if e.lastArrival > e.now {
-		return e.lastArrival
-	}
-	return e.now
-}
+// it processed (routing a submission moves the clock to its arrival). Live
+// producers stamp the next submission's Arrival at or after this.
+func (e *Engine) Now() int64 { return e.now }
 
 // LiveCounts snapshots the raw exit tallies mid-run (zero before
 // StartLive).

@@ -1,27 +1,30 @@
 // Parallel per-DC stepping: the wide-window driver behind Config.Parallel.
-// The engine's event order — arrivals first, then cluster-scoped events,
-// then per-DC events by index — makes every engine-level event a
-// synchronization point and everything between two of them embarrassingly
-// parallel once routing cannot depend on how far the datacenters have
-// stepped. Per-DC internal events touch only their datacenter's private
-// simulator core, the shared cluster collector is interleaving-invariant
-// (metrics.Stream.Share), and the task pool is a sync.Pool.
+// The engine's event order — arrivals first, then the engine queue
+// (dc-fail/dc-recover truth events and gate events), then per-DC events by
+// index — makes every engine event a synchronization point and everything
+// between two of them embarrassingly parallel once routing cannot depend
+// on how far the datacenters have stepped. Per-DC internal events touch
+// only their datacenter's private simulator core, the shared cluster
+// collector is interleaving-invariant (metrics.Stream.Share), and the task
+// pool is a sync.Pool.
 //
 // Round-robin routing (the only policy New accepts with Parallel) reads
 // nothing but its own cursor and the believed-healthy set, both owned by
 // the engine goroutine. So the engine routes the whole window up to the
-// next cluster-scoped or gate event ahead of time, streaming arrivals into
-// bounded per-DC channels while the workers admit and step concurrently;
-// barriers remain only at those engine-level events and at end of stream.
-// The window bound is re-read after every dispatch: routing into a
-// down-but-undetected datacenter plants a retry gate event that may now
-// precede the next arrival. Stateful policies (least-queued, pet-aware)
-// would need a barrier per arrival, and measurement showed that never
-// beat the sequential path by enough to keep, so they run sequentially.
+// next engine event ahead of time — the window bound is one peek at the
+// engine queue — streaming arrivals into bounded per-DC channels while the
+// workers admit and step concurrently; barriers remain only at engine
+// events and at end of stream. The bound is peeked again after every
+// dispatch: routing into a down-but-undetected datacenter plants a retry
+// event that may now precede the next arrival. Stateful policies
+// (least-queued, pet-aware) would need a barrier per arrival, and
+// measurement showed that never beat the sequential path by enough to
+// keep, so they run sequentially.
 //
-// Gate events (detection, trust, salvage, retry — failover.go) fire on the
-// engine goroutine with every worker quiescent at that tick, so their
-// simulator injections land in exactly the sequential call order.
+// Engine events (dc-fail, dc-recover, detection, trust, salvage, retry —
+// failover.go) fire on the engine goroutine with every worker quiescent at
+// that tick, so their simulator drains and injections land in exactly the
+// sequential call order.
 //
 // The driver replays byte-identically against the sequential path
 // (traces, dispatch log, statistics) — TestClusterParallelStepDeterminism
@@ -121,23 +124,15 @@ func (e *Engine) pull(src workload.Source) (*task.Task, bool, error) {
 	return t, true, nil
 }
 
-// nextClusterTick peeks the engine's own dc-fail/dc-recover schedule.
-func (e *Engine) nextClusterTick() (int64, bool) {
-	if e.evPos < len(e.clusterEvents) {
-		return e.clusterEvents[e.evPos].Tick, true
-	}
-	return 0, false
-}
-
-// runWide routes every arrival up to the next engine-level event
-// (cluster-scoped or gate) in one go — round-robin's picks cannot depend
-// on how far the workers have gotten — and each datacenter pipelines its
-// admits and internal events concurrently with the dispatch loop. Gate drops, buffering, and bounce
+// runWide routes every arrival up to the next engine event in one go —
+// round-robin's picks cannot depend on how far the workers have gotten —
+// and each datacenter pipelines its admits and internal events
+// concurrently with the dispatch loop. Gate drops, buffering, and bounce
 // scheduling fold into engine-owned state from here while workers observe
 // exits from their side; Share makes the collector safe and
-// order-invariant. The window bound is recomputed after every dispatch
+// order-invariant. The window bound is peeked again after every dispatch
 // because a dispatch into a down-but-undetected datacenter plants a retry
-// gate event, possibly before the next arrival.
+// event, possibly before the next arrival.
 func (r *parallelRunner) runWide(src workload.Source) error {
 	e := r.e
 	next, hasNext, err := e.pull(src)
@@ -145,55 +140,30 @@ func (r *parallelRunner) runWide(src workload.Source) error {
 		return err
 	}
 	for {
-		for hasNext {
-			bound := int64(math.MaxInt64)
-			if ct, has := e.nextClusterTick(); has {
-				bound = ct
-			}
-			if gt, has := e.nextGateTick(); has && gt < bound {
-				bound = gt
-			}
-			if next.Arrival > bound {
-				break
-			}
-			t := next
-			d, admit, rerr := e.routeArrival(t)
+		tick, pending := e.nextEngineTick()
+		if hasNext && (!pending || next.Arrival <= tick) {
+			d, rerr := e.routeArrival(next)
 			if rerr != nil {
 				return rerr
 			}
-			if admit {
-				r.workers[d].work <- dcWork{admit: t}
+			if d >= 0 {
+				r.workers[d].work <- dcWork{admit: next}
 			}
 			if next, hasNext, err = e.pull(src); err != nil {
 				return err
 			}
+			continue
 		}
-		ct, hasCluster := e.nextClusterTick()
-		gt, hasGate := e.nextGateTick()
-		horizon := int64(math.MaxInt64)
-		isCluster := false
-		if hasGate {
-			horizon = gt
+		if !pending {
+			// The MaxInt64 barrier drains every datacenter.
+			return r.barrierAll(math.MaxInt64)
 		}
-		if hasCluster && ct <= horizon {
-			horizon, isCluster = ct, true
-		}
-		if err := r.barrierAll(horizon); err != nil {
+		if err := r.barrierAll(tick); err != nil {
 			return err
 		}
-		switch {
-		case isCluster:
-			e.now = ct
-			if err := e.stepClusterEvent(); err != nil {
-				return err
-			}
-		case hasGate:
-			e.now = gt
-			if err := e.stepGateEvent(); err != nil {
-				return err
-			}
-		default:
-			return nil // the MaxInt64 barrier drained every datacenter
+		e.now = tick
+		if err := e.stepEngineEvent(); err != nil {
+			return err
 		}
 	}
 }

@@ -99,9 +99,6 @@ func New(cfg Config) *Pruner {
 	return &Pruner{cfg: cfg}
 }
 
-// Config returns the active configuration.
-func (p *Pruner) Config() Config { return p.cfg }
-
 // ObserveMappingEvent feeds the number of deadline misses since the last
 // mapping event (µτ) into the Eq. 8 EWMA and updates the dropping toggle.
 // It returns whether dropping is now engaged.

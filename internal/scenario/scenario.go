@@ -183,9 +183,9 @@ type Scenario struct {
 	// bounce-and-retry for dispatches into undetected outages, and the
 	// bounded gate buffer. It rides in the wire format so a fault study
 	// declares its detection model next to the dc-fail events that stress
-	// it; the cluster engine reads it through cluster.Config.Failover (an
-	// explicitly configured policy wins). Single-fleet runs reject an
-	// enabled policy — there is no dispatcher to mis-inform.
+	// it; it is the cluster engine's only source of the policy.
+	// Single-fleet runs reject an enabled policy — there is no dispatcher
+	// to mis-inform.
 	Failover *FailoverPolicy
 }
 

@@ -21,7 +21,6 @@ import (
 	"taskprune/internal/scenario"
 	"taskprune/internal/simulator"
 	"taskprune/internal/stats"
-	"taskprune/internal/task"
 	"taskprune/internal/telemetry"
 )
 
@@ -293,16 +292,4 @@ func (c *Config) NewEngine(matrix *pet.Matrix, tel *telemetry.Options) (*cluster
 		Sim:       simCfg,
 		Telemetry: tel,
 	})
-}
-
-// DeadlineSpans returns the per-type deadline slack the daemon stamps on
-// submissions without an explicit deadline — the same formula the workload
-// generator uses: mean(type across machines) + Beta·grandMean, rounded.
-func (c *Config) DeadlineSpans(matrix *pet.Matrix) []int64 {
-	spans := make([]int64, matrix.NumTypes())
-	avgAll := matrix.GrandMean()
-	for ti := range spans {
-		spans[ti] = int64(matrix.TypeMeanAcrossMachines(task.Type(ti)) + c.Beta*avgAll + 0.5)
-	}
-	return spans
 }

@@ -9,6 +9,7 @@ import (
 	"taskprune/internal/pet"
 	"taskprune/internal/scenario"
 	"taskprune/internal/telemetry"
+	"taskprune/internal/workload"
 )
 
 func TestParseConfigDefaults(t *testing.T) {
@@ -165,7 +166,7 @@ func TestSyntheticFleetBuilds(t *testing.T) {
 	if m.NumTypes() != 3 || m.NumMachines() != 5 {
 		t.Fatalf("synthetic matrix is %d×%d, want 3×5", m.NumTypes(), m.NumMachines())
 	}
-	spans := c.DeadlineSpans(m)
+	spans := workload.DeadlineSpans(m, c.Beta)
 	if len(spans) != 3 {
 		t.Fatalf("%d deadline spans for 3 types", len(spans))
 	}

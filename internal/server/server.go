@@ -117,7 +117,7 @@ func New(cfg *Config) (*Server, error) {
 		src:    workload.NewLiveSource(cfg.Queue),
 		tel:    telemetry.NewServer(),
 		rng:    stats.NewRNG(cfg.Seed),
-		spans:  cfg.DeadlineSpans(matrix),
+		spans:  workload.DeadlineSpans(matrix, cfg.Beta),
 		win:    newWindow(cfg.Window),
 		done:   make(chan struct{}),
 	}
@@ -141,9 +141,6 @@ func (s *Server) Start() { go s.pump() }
 // Matrix exposes the deployment's PET (handlers validate task types
 // against it).
 func (s *Server) Matrix() *pet.Matrix { return s.matrix }
-
-// Config returns the booted configuration.
-func (s *Server) Config() *Config { return s.cfg }
 
 // Telemetry exposes the daemon's telemetry registry, so a deployment can
 // bind a dedicated metrics listener next to the API mux.

@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"taskprune/internal/workload"
 )
 
 // testConfig builds a small video-fleet (4×4) config, optionally mutated.
@@ -143,6 +145,35 @@ func TestSubmitStatusDrain(t *testing.T) {
 	}
 	if w := do(t, h, "POST", "/v1/tasks", `{"type":0}`); w.Code != http.StatusServiceUnavailable {
 		t.Fatalf("submit after drain = %d, want 503", w.Code)
+	}
+}
+
+// TestSubmitStampsDeadlineSpan: a submission without deadline_in is
+// stamped with the workload generator's slack rule under the configured
+// Beta, Deadline = Arrival + workload.DeadlineSpans(m, Beta)[type]; one
+// with deadline_in keeps its own relative deadline.
+func TestSubmitStampsDeadlineSpan(t *testing.T) {
+	const beta = 3.5
+	s, h := newTestServer(t, func(c *Config) { c.Beta = beta })
+	body := `{"tasks":[{"type":0,"count":2},{"type":3},{"type":1,"deadline_in":500}]}`
+	if w := do(t, h, "POST", "/v1/tasks", body); w.Code != http.StatusAccepted {
+		t.Fatalf("batch submit = %d: %s", w.Code, w.Body)
+	}
+	s.Start()
+	drain(t, s)
+	spans := workload.DeadlineSpans(s.Matrix(), beta)
+	got := s.win.tasks()
+	if len(got) != 4 {
+		t.Fatalf("what-if window holds %d submissions, want 4", len(got))
+	}
+	for i, tk := range got {
+		want := tk.Arrival + spans[tk.Type]
+		if i == 3 {
+			want = tk.Arrival + 500
+		}
+		if tk.Deadline != want {
+			t.Errorf("submission %d (type %d, arrival %d): deadline %d, want %d", i, tk.Type, tk.Arrival, tk.Deadline, want)
+		}
 	}
 }
 

@@ -46,9 +46,6 @@ func (r *RNG) NormFloat64() float64 { return r.src.NormFloat64() }
 // math/rand semantics.
 func (r *RNG) Intn(n int) int { return r.src.Intn(n) }
 
-// Int63 returns a non-negative 63-bit integer.
-func (r *RNG) Int63() int64 { return r.src.Int63() }
-
 // Perm returns a random permutation of [0, n).
 func (r *RNG) Perm(n int) []int { return r.src.Perm(n) }
 

@@ -174,13 +174,8 @@ func newStream(cfg Config, matrix *pet.Matrix, rng *stats.RNG, replay bool) (*St
 		meanGap: float64(nTypes) / cfg.Rate,
 		varFrac: cfg.VarFrac,
 		rate:    cfg.effectiveRate(),
-		spans:   make([]int64, nTypes),
+		spans:   DeadlineSpans(matrix, cfg.Beta),
 		clocks:  make([]typeClock, nTypes),
-	}
-	avgAll := matrix.GrandMean()
-	for ti := range st.spans {
-		avgType := matrix.TypeMeanAcrossMachines(task.Type(ti))
-		st.spans[ti] = int64(avgType + cfg.Beta*avgAll + 0.5)
 	}
 	// Split order matches Generate: the arrival stream first, the
 	// execution-time stream second, so both replay the legacy draws.

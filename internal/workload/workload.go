@@ -118,6 +118,20 @@ func Generate(cfg Config, matrix *pet.Matrix, rng *stats.RNG) ([]*task.Task, err
 	}
 }
 
+// DeadlineSpans returns each task type's deadline slack under the paper's
+// rule δ = arrival + avg_type + β·avg_all: the type's mean execution time
+// across machines plus beta times the matrix's grand mean, rounded. The
+// generated streams and the serve daemon's stamped submissions both use
+// it.
+func DeadlineSpans(matrix *pet.Matrix, beta float64) []int64 {
+	spans := make([]int64, matrix.NumTypes())
+	avgAll := matrix.GrandMean()
+	for ti := range spans {
+		spans[ti] = int64(matrix.TypeMeanAcrossMachines(task.Type(ti)) + beta*avgAll + 0.5)
+	}
+	return spans
+}
+
 // MustGenerate is Generate for known-good configurations.
 func MustGenerate(cfg Config, matrix *pet.Matrix, rng *stats.RNG) []*task.Task {
 	ts, err := Generate(cfg, matrix, rng)
