@@ -5,6 +5,10 @@ FUZZTIME            ?= 30s
 STATICCHECK_VERSION ?= 2025.1.1
 GOVULNCHECK_VERSION ?= v1.1.4
 DOCKER_IMAGE        ?= hcsim:dev
+# golden and the race targets run go test through this script, which fails
+# when a -run pattern selects no test in a package (go test itself passes
+# such a run as "[no tests to run]").
+SELECTED_TEST       := GO=$(GO) ./scripts/go_test_selected.sh
 # Statement-coverage floors. Each is set to (just under) the measured
 # coverage when its guard was introduced; raise a floor when coverage
 # durably improves, never lower one to make a PR pass.
@@ -76,7 +80,7 @@ cover:
 # must replay byte for byte, twice, so flaky nondeterminism cannot hide
 # behind test caching.
 golden:
-	$(GO) test -run Golden -count=2 ./internal/simulator/ ./internal/cluster/ ./cmd/hcsim/ ./examples/...
+	$(SELECTED_TEST) -run Golden -count=2 ./internal/simulator/ ./internal/cluster/ ./cmd/hcsim/ ./examples/...
 
 # Regenerate the golden traces, tables and example outputs after an
 # intentional behavior change; review the diff like any other scheduling
@@ -95,18 +99,18 @@ bench-guard:
 # GOMAXPROCS settings) — the entire shared-state surface of the
 # wide-window driver in internal/cluster/parallel.go.
 race-cluster:
-	$(GO) test -race -run 'ClusterEquivalence|ClusterParallelStepDeterminism|ParallelGateDrops' ./internal/cluster/
+	$(SELECTED_TEST) -race -run 'ClusterEquivalence|ClusterParallelStepDeterminism|ParallelGateDrops' ./internal/cluster/
 
 # Race check of the parallel trial runner driven by pull-based streaming
 # sources (the shared-state surface across workers), including the sharded
 # cluster runner via race-cluster, plus the checkpoint-disabled
 # equivalence and oracle-belief equivalence tests under -race, and the
-# mixed reader/writer hammer on the PET scaled/remaining entry caches
-# (shared across parallel trials).
+# mixed reader/writer hammer on the PET's derived-entry cache (scaled and
+# conditioned entries, shared across parallel trials).
 race-stream: race-cluster
-	$(GO) test -race -run Streamed ./internal/experiments/
-	$(GO) test -race -run 'CheckpointDisabledEquivalence|BeliefOracleEquivalence' ./internal/simulator/
-	$(GO) test -race -run ScaledAndRemainingCachesConcurrent ./internal/pet/
+	$(SELECTED_TEST) -race -run Streamed ./internal/experiments/
+	$(SELECTED_TEST) -race -run 'CheckpointDisabledEquivalence|BeliefOracleEquivalence' ./internal/simulator/
+	$(SELECTED_TEST) -race -run 'ScaledAndRemainingCachesConcurrent|ScaledEntryConcurrent' ./internal/pet/
 
 # Race check of the telemetry layer: the sampler shard merge under the
 # wide-window driver (per-shard rows must stay byte-identical to the
@@ -115,9 +119,9 @@ race-stream: race-cluster
 # contract of the simulator and engine shards, and the HTTP export
 # server's Publish/render surface hammered from concurrent goroutines.
 race-telemetry:
-	$(GO) test -race -run 'ClusterParallelTelemetryDeterminism|TelemetryDoesNotPerturbScheduling|GateCountersReadTheirStore' ./internal/cluster/
-	$(GO) test -race -run 'CountersReadTheirStore' ./internal/simulator/
-	$(GO) test -race -run 'ServerConcurrentPublish' ./internal/telemetry/
+	$(SELECTED_TEST) -race -run 'ClusterParallelTelemetryDeterminism|TelemetryDoesNotPerturbScheduling|GateCountersReadTheirStore' ./internal/cluster/
+	$(SELECTED_TEST) -race -run 'CountersReadTheirStore' ./internal/simulator/
+	$(SELECTED_TEST) -race -run 'ServerConcurrentPublish' ./internal/telemetry/
 
 # Short fuzz run of both wire-format parsers, seeded from the committed
 # corpora under testdata/fuzz/ (known-interesting inputs, not an empty

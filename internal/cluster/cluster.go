@@ -146,7 +146,7 @@ func (d *DC) onTimeScore(now int64, t *task.Task) float64 {
 		if slack < 0 {
 			continue
 		}
-		p := d.view.ScaledProfile(t.Type, m.ID, m.Speed()).CDF(int64(slack))
+		p := d.view.Entry(t.Type, m.ID, m.Speed(), 0).Prof.CDF(int64(slack))
 		if p > best {
 			best = p
 		}

@@ -54,7 +54,6 @@ func runSingleFleet(t *testing.T, name string, sc *scenario.Scenario) ([]byte, m
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Trim = 0
 	cfg.Scenario = sc
 	rec := trace.NewRecorder()
 	cfg.Trace = rec

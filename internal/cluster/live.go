@@ -42,11 +42,7 @@ import (
 // begin allocates the cluster collector and readies every datacenter for
 // stepping; rec, when non-nil, receives every retired task.
 func (e *Engine) begin(rec workload.Recycler) {
-	trim := e.cfg.Sim.Trim
-	if trim == 0 {
-		trim = metrics.DefaultTrim
-	}
-	e.collector = metrics.NewStream(e.matrix.NumTypes(), trim)
+	e.collector = metrics.NewStream(e.matrix.NumTypes(), metrics.DefaultTrim)
 	e.recycler = rec
 	for _, d := range e.dcs {
 		d.sim.Begin(e.collector)

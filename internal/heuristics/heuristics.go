@@ -64,64 +64,19 @@ func (c *Context) sufferage(t task.Type) float64 {
 	return c.Fairness.Sufferage(t)
 }
 
-// ExecPMF returns the execution-time PMF of type tt on the machine at fleet
-// position mi under that machine's current speed factor. The PET column is
-// the machine's ID, not its slice position: a cluster datacenter runs on a
-// partition of the PET's columns, so its machines keep their global IDs
-// while occupying positions 0..len(Machines)-1. On a whole-fleet run the
-// two coincide, and on a nominal-speed machine the result is exactly the
-// PET entry, so the static single-fleet path is untouched.
-func (c *Context) ExecPMF(tt task.Type, mi int) *pmf.PMF {
+// entry returns the PET entry task t is priced at on the machine at fleet
+// position mi: the type's entry under that machine's current speed factor,
+// conditioned on the progress the task has already banked when it was
+// restored from a checkpoint (t.Consumed > 0 in the batch queue). The PET
+// column is the machine's ID, not its slice position: a cluster datacenter
+// runs on a partition of the PET's columns, so its machines keep their
+// global IDs while occupying positions 0..len(Machines)-1. On a
+// whole-fleet run the two coincide, and for an unrestored task on a
+// nominal-speed machine the result is exactly the PET entry, so the static
+// single-fleet path is untouched.
+func (c *Context) entry(t *task.Task, mi int) *pet.Entry {
 	m := c.Machines[mi]
-	return c.PET.ScaledPMF(tt, m.ID, m.Speed())
-}
-
-// ExecProfile returns the prefix-sum execution profile of type tt on the
-// machine at fleet position mi under its current speed factor (PET column
-// = machine ID, as in ExecPMF).
-func (c *Context) ExecProfile(tt task.Type, mi int) *pmf.Profile {
-	m := c.Machines[mi]
-	return c.PET.ScaledProfile(tt, m.ID, m.Speed())
-}
-
-// ExecMean returns the profiled mean execution time of type tt on the
-// machine at fleet position mi under its current speed factor (PET column
-// = machine ID, as in ExecPMF): ExecProfile's stored mean, an O(1) read.
-func (c *Context) ExecMean(tt task.Type, mi int) float64 {
-	return c.ExecProfile(tt, mi).Mean()
-}
-
-// TaskExecPMF returns the execution-time PMF task t owes on the machine at
-// fleet position mi: the type's (speed-scaled) PET entry, conditioned on
-// the progress the task has already banked when it was restored from a
-// checkpoint (t.Consumed > 0 in the batch queue). An unrestored task takes
-// exactly the ExecPMF path, so checkpoint-free runs are bit-identical.
-func (c *Context) TaskExecPMF(t *task.Task, mi int) *pmf.PMF {
-	if t.Consumed == 0 {
-		return c.ExecPMF(t.Type, mi)
-	}
-	m := c.Machines[mi]
-	return c.PET.RemainingEntry(t.Type, m.ID, m.Speed(), t.Consumed).PMF
-}
-
-// TaskExecProfile is TaskExecPMF's prefix-sum profile (the phase-one
-// evaluation form), conditioned the same way.
-func (c *Context) TaskExecProfile(t *task.Task, mi int) *pmf.Profile {
-	if t.Consumed == 0 {
-		return c.ExecProfile(t.Type, mi)
-	}
-	m := c.Machines[mi]
-	return c.PET.RemainingEntry(t.Type, m.ID, m.Speed(), t.Consumed).Prof
-}
-
-// TaskExecMean is the mean of TaskExecPMF: the expected remaining execution
-// the scalar heuristics price a restored task at.
-func (c *Context) TaskExecMean(t *task.Task, mi int) float64 {
-	if t.Consumed == 0 {
-		return c.ExecMean(t.Type, mi)
-	}
-	m := c.Machines[mi]
-	return c.PET.RemainingEntry(t.Type, m.ID, m.Speed(), t.Consumed).Mean
+	return c.PET.Entry(t.Type, m.ID, m.Speed(), t.Consumed)
 }
 
 // Result reports what a mapping event did. When the Context carries a
@@ -406,7 +361,7 @@ func (c *EvalCache) putRemaining(r []*task.Task) {
 
 // ect returns the expected completion time of task t on machine mi.
 func (s *scalarState) ect(ctx *Context, t *task.Task, mi int) float64 {
-	return s.ready[mi] + ctx.TaskExecMean(t, mi)
+	return s.ready[mi] + ctx.entry(t, mi).Prof.Mean()
 }
 
 // bestMachine returns the open machine minimizing t's expected completion
@@ -428,7 +383,7 @@ func (s *scalarState) commit(ctx *Context, t *task.Task, mi int) {
 		panic(fmt.Sprintf("heuristics: commit to full machine %d: %v", mi, err))
 	}
 	if !closeIfFull(ctx, &s.open, mi) {
-		s.ready[mi] += ctx.TaskExecMean(t, mi)
+		s.ready[mi] += ctx.entry(t, mi).Prof.Mean()
 	}
 }
 
@@ -527,8 +482,7 @@ func (c *EvalCache) tailFor(ctx *Context, i int, m *machine.Machine) *pmf.PMF {
 
 // compute is the uncached phase-one evaluation of task t on machine mi.
 func (s *probState) compute(ctx *Context, t *task.Task, mi int) fastEval {
-	prof := ctx.TaskExecProfile(t, mi)
-	success, expFree := pmf.DropEval(s.tails[mi], prof, t.Deadline, ctx.Mode)
+	success, expFree := pmf.DropEval(s.tails[mi], ctx.entry(t, mi).Prof, t.Deadline, ctx.Mode)
 	return fastEval{success: success, expFree: expFree}
 }
 
@@ -571,7 +525,7 @@ func (s *probState) bestByRobustness(ctx *Context, t *task.Task, floor float64) 
 	best := -1
 	var bestEv fastEval
 	for _, i := range s.open {
-		if bounded && s.bounds[i].Below(ctx.TaskExecProfile(t, i), t.Deadline, floor) {
+		if bounded && s.bounds[i].Below(ctx.entry(t, i).Prof, t.Deadline, floor) {
 			continue
 		}
 		r := s.evaluate(ctx, t, i)
@@ -600,7 +554,7 @@ func (s *probState) commit(ctx *Context, t *task.Task, mi int) {
 	s.cache.stamps[mi]++ // one column of cached evaluations dies, no more
 	s.cache.Forget(t.ID)
 	if !closeIfFull(ctx, &s.open, mi) {
-		s.tails[mi] = s.arena.ChainStep(s.tails[mi], ctx.TaskExecPMF(t, mi), t.Deadline, ctx.Mode, ctx.MaxImpulses)
+		s.tails[mi] = s.arena.ChainStep(s.tails[mi], ctx.entry(t, mi).PMF, t.Deadline, ctx.Mode, ctx.MaxImpulses)
 		s.bounds[mi].Set(s.tails[mi])
 	}
 }

@@ -98,7 +98,7 @@ func (h MOC) Map(ctx *Context, batch []*task.Task) Result {
 			bestTotal := -1.0
 			for pick, cand := range top {
 				tc := remaining[cand.taskIdx]
-				tail := st.arena.ChainStep(st.tails[cand.machine], ctx.TaskExecPMF(tc, cand.machine), tc.Deadline, ctx.Mode, ctx.MaxImpulses)
+				tail := st.arena.ChainStep(st.tails[cand.machine], ctx.entry(tc, cand.machine).PMF, tc.Deadline, ctx.Mode, ctx.MaxImpulses)
 				total := cand.ev.success
 				for other, p := range top {
 					if other == pick {
@@ -106,7 +106,7 @@ func (h MOC) Map(ctx *Context, batch []*task.Task) Result {
 					}
 					t := remaining[p.taskIdx]
 					if p.machine == cand.machine {
-						total += pmf.DropSuccess(tail, ctx.TaskExecProfile(t, p.machine), t.Deadline)
+						total += pmf.DropSuccess(tail, ctx.entry(t, p.machine).Prof, t.Deadline)
 					} else {
 						total += p.ev.success
 					}

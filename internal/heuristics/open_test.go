@@ -36,7 +36,7 @@ func refScalarMap(name string, ctx *Context, batch []*task.Task) []*task.Task {
 			if m.FreeSlots() <= 0 {
 				continue
 			}
-			e := ready[i] + ctx.TaskExecMean(t, i)
+			e := ready[i] + ctx.entry(t, i).Prof.Mean()
 			if best == -1 || e < bestECT {
 				best, bestECT = i, e
 			}
@@ -83,7 +83,7 @@ func refScalarMap(name string, ctx *Context, batch []*task.Task) []*task.Task {
 		if err := ctx.Machines[bestMi].Enqueue(t); err != nil {
 			panic(err)
 		}
-		ready[bestMi] += ctx.TaskExecMean(t, bestMi)
+		ready[bestMi] += ctx.entry(t, bestMi).Prof.Mean()
 		assigned = append(assigned, t)
 		remaining = removeTask(remaining, bestIdx)
 	}

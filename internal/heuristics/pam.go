@@ -154,7 +154,7 @@ func pruningMap(ctx *Context, batch []*task.Task) Result {
 				best = i
 			case a.ev.expFree < b.ev.expFree+expFreeTieEps:
 				ta, tb := remaining[a.taskIdx], remaining[b.taskIdx]
-				ea, eb := ctx.TaskExecMean(ta, a.machine), ctx.TaskExecMean(tb, b.machine)
+				ea, eb := ctx.entry(ta, a.machine).Prof.Mean(), ctx.entry(tb, b.machine).Prof.Mean()
 				if ea < eb || (ea == eb && ta.ID < tb.ID) {
 					best = i
 				}

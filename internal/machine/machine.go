@@ -220,19 +220,20 @@ func (m *Machine) BusyTicks(now int64) int64 {
 	return b
 }
 
-// Head returns the executing task (nil when idle), the execution-time PMF
-// of the degradation factor its run started under, and that PMF's origin
-// tick: Start − ScaleDur(Consumed, f), since a run restored from a
-// checkpoint starts with Consumed nominal ticks already done. The head's
-// completion PMF is the execution PMF shifted to origin and conditioned on
-// the run still going at the clock (paper Section IV).
+// Head returns the executing task (nil when idle), the unconditioned
+// execution-time PMF of the degradation factor its run started under, and
+// that PMF's origin tick: Start − ScaleDur(Consumed, f), since a run
+// restored from a checkpoint starts with Consumed nominal ticks already
+// done (the origin shift, not a conditioned entry, accounts for them).
+// The head's completion PMF is the execution PMF shifted to origin and
+// conditioned on the run still going at the clock (paper Section IV).
 func (m *Machine) Head(matrix pet.View) (t *task.Task, exec *pmf.PMF, origin int64) {
 	t = m.executing
 	if t == nil {
 		return nil, nil, 0
 	}
 	f := m.runFactor
-	return t, matrix.ScaledPMF(t.Type, m.ID, f), t.Start - pmf.ScaleDur(t.Consumed, f)
+	return t, matrix.Entry(t.Type, m.ID, f, 0).PMF, t.Start - pmf.ScaleDur(t.Consumed, f)
 }
 
 // TailPMF returns the PMF of the tick at which the machine finishes
@@ -272,7 +273,7 @@ func (m *Machine) TailPMF(a *pmf.Arena, now int64, matrix pet.View, mode pmf.Dro
 	for _, t := range m.pending {
 		// Consumed > 0 (restored from a checkpoint): the matrix's cached
 		// conditioned view, bit-identical to RemainingAfter on the heap.
-		exec := matrix.RemainingEntry(t.Type, m.ID, m.speed, t.Consumed).PMF
+		exec := matrix.Entry(t.Type, m.ID, m.speed, t.Consumed).PMF
 		var next *pmf.PMF
 		if drop == nil {
 			// Nothing reads the task's success: the chain step skips it.
@@ -309,14 +310,7 @@ func (m *Machine) ExpectedReady(now int64, matrix pet.View) float64 {
 		ready = pmf.CondMeanShifted(exec, origin, now)
 	}
 	for _, t := range m.pending {
-		if t.Consumed > 0 {
-			// Restored from a checkpoint: the cached conditioned view's mean
-			// (its Mean field is the conditioned PMF's profiled mean, unlike
-			// nominal entries whose Mean is the ground-truth gamma mean).
-			ready += matrix.RemainingEntry(t.Type, m.ID, m.speed, t.Consumed).Mean
-		} else {
-			ready += matrix.ScaledProfile(t.Type, m.ID, m.speed).Mean()
-		}
+		ready += matrix.Entry(t.Type, m.ID, m.speed, t.Consumed).Prof.Mean()
 	}
 	return ready
 }

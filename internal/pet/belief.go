@@ -28,30 +28,10 @@ func NewFrozenBelief(truth *Matrix) *FrozenBelief {
 	return &FrozenBelief{truth: truth}
 }
 
-// NumTypes returns the number of task types.
-func (b *FrozenBelief) NumTypes() int { return b.truth.NumTypes() }
-
-// NumMachines returns the number of machines.
-func (b *FrozenBelief) NumMachines() int { return b.truth.NumMachines() }
-
-// ScaledEntry answers with the nominal entry regardless of factor.
-func (b *FrozenBelief) ScaledEntry(t task.Type, mi int, factor float64) *Entry {
-	return b.truth.ScaledEntry(t, mi, 1)
-}
-
-// ScaledPMF is ScaledEntry's PMF.
-func (b *FrozenBelief) ScaledPMF(t task.Type, mi int, factor float64) *pmf.PMF {
-	return b.truth.ScaledPMF(t, mi, 1)
-}
-
-// ScaledProfile is ScaledEntry's profile.
-func (b *FrozenBelief) ScaledProfile(t task.Type, mi int, factor float64) *pmf.Profile {
-	return b.truth.ScaledProfile(t, mi, 1)
-}
-
-// RemainingEntry conditions the nominal entry on consumed nominal ticks.
-func (b *FrozenBelief) RemainingEntry(t task.Type, mi int, factor float64, consumed int64) *Entry {
-	return b.truth.RemainingEntry(t, mi, 1, consumed)
+// Entry conditions the nominal entry on consumed nominal ticks, whatever
+// the factor.
+func (b *FrozenBelief) Entry(t task.Type, mi int, factor float64, consumed int64) *Entry {
+	return b.truth.Entry(t, mi, 1, consumed)
 }
 
 var _ View = (*FrozenBelief)(nil)
@@ -127,60 +107,34 @@ func (b *OnlineBelief) Observe(tt task.Type, mi int, wall int64) bool {
 		return false
 	}
 	p := pmf.FromHistogram(c.hist.Snapshot())
-	base := b.prior.ScaledEntry(tt, mi, 1)
-	c.entry = &Entry{PMF: p, Prof: pmf.NewProfile(p), Mean: p.Mean(), Shape: base.Shape}
+	c.entry = &Entry{PMF: p, Prof: pmf.NewProfile(p)}
 	c.remaining = nil
 	c.sinceRebuild = 0
 	b.refreshes++
 	return true
 }
 
-// NumTypes returns the number of task types.
-func (b *OnlineBelief) NumTypes() int { return b.prior.NumTypes() }
-
-// NumMachines returns the number of machines.
-func (b *OnlineBelief) NumMachines() int { return b.prior.NumMachines() }
-
-// ScaledEntry returns the learned entry for the cell, or the prior's
-// nominal entry while the cell is unlearned. The learned distribution is
-// in wall ticks and already absorbs the machine's true degradation, so the
-// reported factor is ignored.
-func (b *OnlineBelief) ScaledEntry(t task.Type, mi int, factor float64) *Entry {
-	if e := b.cells[t][mi].entry; e != nil {
-		return e
-	}
-	return b.prior.ScaledEntry(t, mi, 1)
-}
-
-// ScaledPMF is ScaledEntry's PMF.
-func (b *OnlineBelief) ScaledPMF(t task.Type, mi int, factor float64) *pmf.PMF {
-	return b.ScaledEntry(t, mi, factor).PMF
-}
-
-// ScaledProfile is ScaledEntry's profile.
-func (b *OnlineBelief) ScaledProfile(t task.Type, mi int, factor float64) *pmf.Profile {
-	return b.ScaledEntry(t, mi, factor).Prof
-}
-
-// RemainingEntry conditions the believed entry on consumed nominal ticks
-// of banked progress. For a learned cell the belief PMF is in wall ticks,
-// so the nominal progress is re-expressed through the reported factor
-// before conditioning; conditioned entries are cached per cell until the
+// Entry returns the learned entry for the cell, or the prior's nominal
+// entry while the cell is unlearned, conditioned on consumed nominal ticks
+// of banked progress. The learned distribution is in wall ticks and
+// already absorbs the machine's true degradation, so the reported factor
+// is ignored — except that the nominal progress is re-expressed through it
+// before conditioning. Conditioned entries are cached per cell until the
 // next rebuild discards them.
-func (b *OnlineBelief) RemainingEntry(t task.Type, mi int, factor float64, consumed int64) *Entry {
-	if consumed <= 0 {
-		return b.ScaledEntry(t, mi, factor)
-	}
+func (b *OnlineBelief) Entry(t task.Type, mi int, factor float64, consumed int64) *Entry {
 	c := &b.cells[t][mi]
 	if c.entry == nil {
-		return b.prior.RemainingEntry(t, mi, 1, consumed)
+		return b.prior.Entry(t, mi, 1, consumed)
+	}
+	if consumed <= 0 {
+		return c.entry
 	}
 	scaled := pmf.ScaleDur(consumed, factor)
 	if e := c.remaining[scaled]; e != nil {
 		return e
 	}
 	p := c.entry.PMF.RemainingAfter(scaled)
-	e := &Entry{PMF: p, Prof: pmf.NewProfile(p), Mean: p.Mean(), Shape: c.entry.Shape}
+	e := &Entry{PMF: p, Prof: pmf.NewProfile(p)}
 	if len(c.remaining) < maxOnlineRemaining {
 		if c.remaining == nil {
 			c.remaining = make(map[int64]*Entry)
@@ -214,9 +168,9 @@ func (b *OnlineBelief) Refreshes() int64 {
 // against the moved truth.
 func (b *OnlineBelief) CellMean(t task.Type, mi int) (mean float64, learned bool) {
 	if e := b.cells[t][mi].entry; e != nil {
-		return e.Mean, true
+		return e.Prof.Mean(), true
 	}
-	return b.prior.ScaledProfile(t, mi, 1).Mean(), false
+	return b.prior.Entry(t, mi, 1, 0).Prof.Mean(), false
 }
 
 var _ View = (*OnlineBelief)(nil)

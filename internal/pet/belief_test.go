@@ -14,20 +14,17 @@ import (
 func TestFrozenBeliefServesNominal(t *testing.T) {
 	m := scaledTestMatrix(t)
 	b := NewFrozenBelief(m)
-	if b.NumTypes() != m.NumTypes() || b.NumMachines() != m.NumMachines() {
-		t.Fatal("frozen belief reports a different shape than its truth")
-	}
 	for _, f := range []float64{1, 2, 3.5} {
-		if b.ScaledEntry(0, 1, f) != m.ScaledEntry(0, 1, 1) {
+		if b.Entry(0, 1, f, 0) != m.Entry(0, 1, 1, 0) {
 			t.Fatalf("factor %v: frozen entry is not the nominal truth entry", f)
 		}
-		if b.ScaledPMF(0, 1, f) != m.PMF(0, 1) {
+		if b.Entry(0, 1, f, 0).PMF != m.PMF(0, 1) {
 			t.Fatalf("factor %v: frozen PMF is not the nominal pointer", f)
 		}
-		if b.ScaledProfile(0, 1, f).Mean() != m.PMF(0, 1).Mean() {
+		if b.Entry(0, 1, f, 0).Prof.Mean() != m.PMF(0, 1).Mean() {
 			t.Fatalf("factor %v: frozen mean differs from nominal", f)
 		}
-		if b.RemainingEntry(0, 1, f, 5) != m.RemainingEntry(0, 1, 1, 5) {
+		if b.Entry(0, 1, f, 5) != m.Entry(0, 1, 1, 5) {
 			t.Fatalf("factor %v: frozen remaining entry is not the nominal conditioned entry", f)
 		}
 	}
@@ -38,10 +35,10 @@ func TestFrozenBeliefServesNominal(t *testing.T) {
 func TestOnlineBeliefColdServesPrior(t *testing.T) {
 	m := scaledTestMatrix(t)
 	b := NewOnlineBelief(m, 10, 5, 16)
-	if b.ScaledEntry(0, 0, 2) != m.ScaledEntry(0, 0, 1) {
+	if b.Entry(0, 0, 2, 0) != m.Entry(0, 0, 1, 0) {
 		t.Fatal("cold cell must serve the prior's nominal entry")
 	}
-	if b.RemainingEntry(0, 0, 2, 5) != m.RemainingEntry(0, 0, 1, 5) {
+	if b.Entry(0, 0, 2, 5) != m.Entry(0, 0, 1, 5) {
 		t.Fatal("cold cell must serve the prior's nominal conditioned entry")
 	}
 	if mean, learned := b.CellMean(0, 0); learned || mean != m.PMF(0, 0).Mean() {
@@ -92,7 +89,7 @@ func TestOnlineBeliefConvergence(t *testing.T) {
 	m := scaledTestMatrix(t)
 	b := NewOnlineBelief(m, 25, 10, 32)
 	rng := stats.NewRNG(7)
-	trueMean := 3 * m.Mean(0, 0) // truth moved: 3x slower than the prior
+	trueMean := 3 * m.entries[0][0].Mean // truth moved: 3x slower than the prior
 	const n = 400
 	for i := 0; i < n; i++ {
 		d := rng.Gamma(10, trueMean/10)
@@ -108,13 +105,13 @@ func TestOnlineBeliefConvergence(t *testing.T) {
 	if rel := math.Abs(mean-trueMean) / trueMean; rel > 0.10 {
 		t.Fatalf("believed mean %.2f vs moved truth %.2f: off by %.1f%%, tolerance 10%%", mean, trueMean, 100*rel)
 	}
-	e := b.ScaledEntry(0, 0, 1)
+	e := b.Entry(0, 0, 1, 0)
 	if math.Abs(e.PMF.Mass()-1) > 1e-9 {
 		t.Fatalf("learned PMF mass %v, want 1", e.PMF.Mass())
 	}
 	// The reported factor is ignored once learned: the observations already
 	// embody the true degradation.
-	if b.ScaledEntry(0, 0, 2) != e {
+	if b.Entry(0, 0, 2, 0) != e {
 		t.Fatal("learned lookups must ignore the reported factor")
 	}
 }
@@ -130,22 +127,22 @@ func TestOnlineBeliefRemainingCache(t *testing.T) {
 	if _, learned := b.CellMean(0, 0); !learned {
 		t.Fatal("cell not learned at the floor")
 	}
-	r1 := b.RemainingEntry(0, 0, 1, 10)
-	if r1 != b.RemainingEntry(0, 0, 1, 10) {
+	r1 := b.Entry(0, 0, 1, 10)
+	if r1 != b.Entry(0, 0, 1, 10) {
 		t.Fatal("repeated conditioned lookups must hit the cache")
 	}
-	if r1 == b.ScaledEntry(0, 0, 1) {
+	if r1 == b.Entry(0, 0, 1, 0) {
 		t.Fatal("conditioned entry must differ from the unconditioned one")
 	}
 	// Same nominal consumed under factor 2 conditions on 2x the progress.
-	if b.RemainingEntry(0, 0, 2, 10) == r1 {
+	if b.Entry(0, 0, 2, 10) == r1 {
 		t.Fatal("distinct scaled-consumed values share one conditioned entry")
 	}
 	// Force a rebuild; the conditioned cache must be rebuilt too.
 	for i := 0; i < 100; i++ {
 		b.Observe(0, 0, 60)
 	}
-	if b.RemainingEntry(0, 0, 1, 10) == r1 {
+	if b.Entry(0, 0, 1, 10) == r1 {
 		t.Fatal("conditioned cache survived a rebuild")
 	}
 }

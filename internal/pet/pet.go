@@ -12,23 +12,27 @@ import (
 	"taskprune/internal/task"
 )
 
-// Entry is one cell of the PET matrix.
+// Entry is one cell of the PET matrix, or a view that Matrix.Entry or a
+// belief derives from one. Mean and Shape describe the ground-truth gamma
+// behind a nominal entry (SampleExec, the deadline means and the JSON
+// writer read them); a derived entry has no gamma behind it and leaves
+// them zero. Every scheduling read of a mean is Prof.Mean(), the profiled
+// mean.
 type Entry struct {
 	PMF   *pmf.PMF     // profiled execution-time distribution (normalized)
 	Prof  *pmf.Profile // prefix-sum profile of PMF for O(|tail|) evaluations
-	Mean  float64      // ground-truth gamma mean the profile was drawn from
-	Shape float64      // ground-truth gamma shape
+	Mean  float64      // nominal entries: ground-truth gamma mean
+	Shape float64      // nominal entries: ground-truth gamma shape
 }
 
 // Matrix is an inconsistently heterogeneous PET matrix: task types × machines.
 // The profiled entries are immutable after construction and safe for
-// concurrent reads; the degradation-scaled views in scaled.go are derived
-// lazily behind their own lock, so a Matrix may be shared across trials even
-// when scenarios degrade machines.
+// concurrent reads; the degradation-scaled and conditioned views in
+// derived.go are derived lazily behind their own lock, so a Matrix may be
+// shared across trials even when scenarios degrade machines.
 type Matrix struct {
-	entries   [][]Entry // [taskType][machine]
-	scaled    scaledCache
-	remaining remainingCache
+	entries [][]Entry // [taskType][machine]
+	derived derivedCache
 }
 
 // BuildConfig controls offline PET profiling.
@@ -111,9 +115,6 @@ func (m *Matrix) NumMachines() int {
 
 // PMF returns the profiled execution-time PMF of task type t on machine mi.
 func (m *Matrix) PMF(t task.Type, mi int) *pmf.PMF { return m.entries[t][mi].PMF }
-
-// Mean returns the ground-truth mean execution time of type t on machine mi.
-func (m *Matrix) Mean(t task.Type, mi int) float64 { return m.entries[t][mi].Mean }
 
 // Profile returns the prefix-sum execution profile of type t on machine mi.
 func (m *Matrix) Profile(t task.Type, mi int) *pmf.Profile { return m.entries[t][mi].Prof }

@@ -51,7 +51,7 @@ func TestProfiledMeanNearTruth(t *testing.T) {
 	m := testMatrix(t)
 	for ti := 0; ti < m.NumTypes(); ti++ {
 		for mi := 0; mi < m.NumMachines(); mi++ {
-			truth := m.Mean(task.Type(ti), mi)
+			truth := m.entries[ti][mi].Mean
 			est := m.Profile(task.Type(ti), mi).Mean()
 			// A few hundred gamma samples with shape as low as 1 (high
 			// variance): the histogram mean should land within ~25% of
@@ -93,7 +93,8 @@ func TestProfileMatchesPMF(t *testing.T) {
 			for mi := 0; mi < m.NumMachines(); mi++ {
 				for _, f := range []float64{1, 1.5, 3} {
 					tt := task.Type(ti)
-					p, prof := v.view.ScaledPMF(tt, mi, f), v.view.ScaledProfile(tt, mi, f)
+					e := v.view.Entry(tt, mi, f, 0)
+					p, prof := e.PMF, e.Prof
 					if prof.PMF() != p {
 						t.Fatalf("%s (%d,%d) factor %v: profile wraps a different PMF", v.name, ti, mi, f)
 					}
@@ -118,7 +119,7 @@ func TestSampleExecPositive(t *testing.T) {
 		}
 		sum += float64(v)
 	}
-	truth := m.Mean(0, 0)
+	truth := m.entries[0][0].Mean
 	if mean := sum / n; math.Abs(mean-truth) > 0.15*truth {
 		t.Errorf("SampleExec mean %v, want ≈ %v", mean, truth)
 	}
@@ -131,7 +132,7 @@ func TestTypeAndGrandMeans(t *testing.T) {
 		tm := m.TypeMeanAcrossMachines(task.Type(ti))
 		var rowSum float64
 		for mi := 0; mi < m.NumMachines(); mi++ {
-			rowSum += m.Mean(task.Type(ti), mi)
+			rowSum += m.entries[ti][mi].Mean
 		}
 		if math.Abs(tm-rowSum/float64(m.NumMachines())) > 1e-9 {
 			t.Errorf("TypeMeanAcrossMachines(%d) = %v, want %v", ti, tm, rowSum/8)
@@ -149,7 +150,7 @@ func TestBestMachine(t *testing.T) {
 	for ti := 0; ti < m.NumTypes(); ti++ {
 		best := m.BestMachine(task.Type(ti))
 		for mi := 0; mi < m.NumMachines(); mi++ {
-			if m.Mean(task.Type(ti), mi) < m.Mean(task.Type(ti), best) {
+			if m.entries[ti][mi].Mean < m.entries[ti][best].Mean {
 				t.Errorf("type %d: machine %d beats reported best %d", ti, mi, best)
 			}
 		}

@@ -276,21 +276,6 @@ func (p *PMF) Mean() float64 {
 	return s / m
 }
 
-// Variance returns the distribution variance.
-func (p *PMF) Variance() float64 {
-	m := p.Mass()
-	if m == 0 {
-		return 0
-	}
-	mu := p.Mean()
-	var s float64
-	for i, v := range p.probs {
-		d := float64(p.start+int64(i)) - mu
-		s += v * d * d
-	}
-	return s / m
-}
-
 // Skewness returns the (population) skewness of the distribution; 0 when
 // undefined. The pruner consumes the bounded version via BoundedSkewness.
 // It folds the mass-weighted moments straight off the dense support (total

@@ -7,6 +7,21 @@ import (
 
 func almostEqual(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
+// variance returns the distribution variance of p.
+func variance(p *PMF) float64 {
+	m := p.Mass()
+	if m == 0 {
+		return 0
+	}
+	mu := p.Mean()
+	var s float64
+	for i, v := range p.probs {
+		d := float64(p.start+int64(i)) - mu
+		s += v * d * d
+	}
+	return s / m
+}
+
 const tol = 1e-12
 
 // heap is the nil arena: its methods allocate their results on the heap.
@@ -67,7 +82,7 @@ func TestImpulse(t *testing.T) {
 	if got := p.Mean(); got != 7 {
 		t.Errorf("Mean = %v, want 7", got)
 	}
-	if got := p.Variance(); got != 0 {
+	if got := variance(p); got != 0 {
 		t.Errorf("Variance = %v, want 0", got)
 	}
 }
@@ -146,8 +161,8 @@ func TestMeanVariance(t *testing.T) {
 	if !almostEqual(p.Mean(), 2, tol) {
 		t.Errorf("Mean = %v, want 2", p.Mean())
 	}
-	if !almostEqual(p.Variance(), 0.5, tol) {
-		t.Errorf("Variance = %v, want 0.5", p.Variance())
+	if !almostEqual(variance(p), 0.5, tol) {
+		t.Errorf("variance = %v, want 0.5", variance(p))
 	}
 }
 

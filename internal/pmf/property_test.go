@@ -77,7 +77,7 @@ func TestPropConvolveVariance(t *testing.T) {
 		a := randomPMF(r, 24)
 		b := randomPMF(r, 24)
 		c := heap.Convolve(a, b)
-		return math.Abs(c.Variance()-(a.Variance()+b.Variance())) < 1e-6
+		return math.Abs(variance(c)-(variance(a)+variance(b))) < 1e-6
 	}
 	if err := quick.Check(f, quickCfg); err != nil {
 		t.Error(err)

@@ -33,9 +33,6 @@ func NewFairnessTracker(nTypes int, factor float64) *FairnessTracker {
 	return &FairnessTracker{factor: factor, sufferage: make([]float64, nTypes)}
 }
 
-// Factor returns the fairness factor ϑ.
-func (f *FairnessTracker) Factor() float64 { return f.factor }
-
 // Sufferage returns εf for the given task type.
 func (f *FairnessTracker) Sufferage(t task.Type) float64 {
 	return f.sufferage[t]

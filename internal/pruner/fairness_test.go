@@ -10,8 +10,8 @@ import (
 
 func TestFairnessTrackerLifecycle(t *testing.T) {
 	f := NewFairnessTracker(3, 0.05)
-	if f.Factor() != 0.05 {
-		t.Errorf("Factor = %v, want 0.05", f.Factor())
+	if f.factor != 0.05 {
+		t.Errorf("factor = %v, want 0.05", f.factor)
 	}
 	for ti := 0; ti < 3; ti++ {
 		if got := f.Sufferage(task.Type(ti)); got != 0 {

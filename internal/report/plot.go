@@ -11,8 +11,8 @@ import (
 // eyeball a regenerated figure in a terminal without plotting tools.
 //
 //	c := report.NewChart("robustness @34k", "%")
-//	c.Add("PAM", 50.2)
-//	c.Add("MM", 22.8)
+//	c.AddWithError("PAM", 50.2, 0.6)
+//	c.AddWithError("MM", 22.8, 0.8)
 //	fmt.Print(c.String())
 type Chart struct {
 	Title string
@@ -27,11 +27,6 @@ type Chart struct {
 // NewChart creates an empty chart.
 func NewChart(title, unit string) *Chart {
 	return &Chart{Title: title, Unit: unit, Width: 50}
-}
-
-// Add appends one bar.
-func (c *Chart) Add(label string, value float64) {
-	c.AddWithError(label, value, math.NaN())
 }
 
 // AddWithError appends one bar with a ± half-span annotation.

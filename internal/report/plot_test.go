@@ -1,6 +1,7 @@
 package report
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -10,8 +11,8 @@ import (
 // without dividing by zero.
 func TestChartZeroValueDefaults(t *testing.T) {
 	c := &Chart{Unit: "%"}
-	c.Add("zero", 0)
-	c.Add("negative", -3)
+	c.AddWithError("zero", 0, math.NaN())
+	c.AddWithError("negative", -3, math.NaN())
 	out := c.String()
 	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
 	if len(lines) != 2 {
@@ -31,7 +32,7 @@ func TestChartZeroValueDefaults(t *testing.T) {
 func TestChartExplicitWidth(t *testing.T) {
 	c := NewChart("w", "")
 	c.Width = 10
-	c.Add("full", 5)
+	c.AddWithError("full", 5, math.NaN())
 	if got := strings.Count(c.String(), "█"); got != 10 {
 		t.Errorf("max bar at width 10 drew %d cells", got)
 	}

@@ -1,6 +1,7 @@
 package report
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -74,7 +75,7 @@ func TestFormatCI(t *testing.T) {
 
 func TestChartRendering(t *testing.T) {
 	c := NewChart("demo", "%")
-	c.Add("PAM", 50)
+	c.AddWithError("PAM", 50, math.NaN())
 	c.AddWithError("MM", 25, 1.5)
 	out := c.String()
 	if !strings.Contains(out, "== demo ==") {
@@ -104,8 +105,8 @@ func TestChartEmpty(t *testing.T) {
 
 func TestChartTinyValueGetsSliver(t *testing.T) {
 	c := NewChart("t", "")
-	c.Add("big", 1000)
-	c.Add("tiny", 0.01)
+	c.AddWithError("big", 1000, math.NaN())
+	c.AddWithError("tiny", 0.01, math.NaN())
 	out := c.String()
 	if !strings.Contains(out, "▏") {
 		t.Errorf("tiny positive value should render a sliver:\n%s", out)

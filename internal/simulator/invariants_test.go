@@ -52,7 +52,6 @@ func TestRandomizedInvariants(t *testing.T) {
 
 		name := heurNames[r.Intn(len(heurNames))]
 		cfg := MustConfigFor(name, matrix)
-		cfg.Trim = 0
 		cfg.QueueCap = 1 + r.Intn(8)
 		if cfg.Pruner != nil {
 			pc := *cfg.Pruner
@@ -215,7 +214,6 @@ func TestFairnessReducesVariance(t *testing.T) {
 		const trials = 3
 		for trial := int64(0); trial < trials; trial++ {
 			cfg := MustConfigFor("PAMF", matrix)
-			cfg.Trim = 50
 			cfg.FairnessFactor = factor
 			sim, _ := New(cfg)
 			tasks, err := workload.Generate(workload.Config{NumTasks: 600, Rate: 0.19, VarFrac: 0.1, Beta: 2}, matrix, stats.NewRNG(trial+11))

@@ -37,7 +37,6 @@ func baseConfig(t *testing.T, name string, matrix *pet.Matrix) Config {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Trim = 0 // unit tests inspect every task
 	return cfg
 }
 

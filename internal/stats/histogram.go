@@ -71,15 +71,3 @@ func (h *Histogram) Add(x, weight float64) {
 func (h *Histogram) BinCenter(i int) float64 {
 	return h.Origin + (float64(i)+0.5)*h.Width
 }
-
-// Mean returns the histogram's mean using bin centers.
-func (h *Histogram) Mean() float64 {
-	if h.Total == 0 {
-		return 0
-	}
-	var s float64
-	for i, c := range h.Counts {
-		s += c * h.BinCenter(i)
-	}
-	return s / h.Total
-}

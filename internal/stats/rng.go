@@ -46,9 +46,6 @@ func (r *RNG) NormFloat64() float64 { return r.src.NormFloat64() }
 // math/rand semantics.
 func (r *RNG) Intn(n int) int { return r.src.Intn(n) }
 
-// Perm returns a random permutation of [0, n).
-func (r *RNG) Perm(n int) []int { return r.src.Perm(n) }
-
 // UniformRange returns a uniform value in [lo, hi). It panics if hi < lo.
 func (r *RNG) UniformRange(lo, hi float64) float64 {
 	if hi < lo {

@@ -17,14 +17,11 @@ import (
 // The online PET belief feeds one StreamHist per (task type, machine) cell
 // with observed completion durations and periodically converts it into a
 // PMF (via Snapshot and pmf.FromHistogram), mirroring the paper's offline
-// histogram-profiling step in streaming form. The exact running mean is
-// tracked separately from the bins, so estimator-convergence checks are
-// not limited by bin resolution.
+// histogram-profiling step in streaming form.
 type StreamHist struct {
 	width  float64 // current bin width (0 until the first sample)
 	counts []float64
 	total  float64
-	sum    float64
 }
 
 // NewStreamHist returns an empty streaming histogram with nbins bins. The
@@ -58,7 +55,6 @@ func (h *StreamHist) Add(x float64) {
 	}
 	h.counts[idx]++
 	h.total++
-	h.sum += x
 }
 
 // double merges adjacent bin pairs, doubling the width and halving the
@@ -83,15 +79,6 @@ func (h *StreamHist) double() {
 
 // Count returns how many samples were added.
 func (h *StreamHist) Count() int64 { return int64(h.total) }
-
-// Mean returns the exact running mean of the samples (not the binned
-// approximation); 0 when empty.
-func (h *StreamHist) Mean() float64 {
-	if h.total == 0 {
-		return 0
-	}
-	return h.sum / h.total
-}
 
 // Snapshot returns the current binning as a fixed-range Histogram (counts
 // copied), ready for pmf.FromHistogram. It panics on an empty histogram —

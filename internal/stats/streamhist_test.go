@@ -5,22 +5,6 @@ import (
 	"testing"
 )
 
-func TestStreamHistMeanIsExact(t *testing.T) {
-	h := NewStreamHist(8)
-	vals := []float64{3, 17, 42, 5, 9, 130, 7}
-	var sum float64
-	for _, v := range vals {
-		h.Add(v)
-		sum += v
-	}
-	if h.Count() != int64(len(vals)) {
-		t.Fatalf("count %d, want %d", h.Count(), len(vals))
-	}
-	if got, want := h.Mean(), sum/float64(len(vals)); math.Abs(got-want) > 1e-12 {
-		t.Fatalf("mean %v, want exact %v (not the binned approximation)", got, want)
-	}
-}
-
 func TestStreamHistGrowsByDoubling(t *testing.T) {
 	h := NewStreamHist(4)
 	h.Add(4) // width = ceil(2*4/4) = 2, span [0,8)

@@ -61,9 +61,6 @@ func (s *SliceSource) Next() (*task.Task, bool) {
 	return t, true
 }
 
-// Len returns how many tasks remain.
-func (s *SliceSource) Len() int { return len(s.tasks) - s.pos }
-
 // taskPool recycles task structs (and their TrueExec backing arrays)
 // process-wide, mirroring the pmf arena's process-wide block pool: a
 // million-task trial's steady state allocates tasks only while growing to

@@ -290,9 +290,6 @@ func TestFromTasksOrder(t *testing.T) {
 	b := task.New(1, 1, 10, 100)
 	c := task.New(2, 0, 50, 100) // ties with a: slice order, a first
 	src := FromTasks([]*task.Task{a, b, c})
-	if src.Len() != 3 {
-		t.Fatalf("Len = %d, want 3", src.Len())
-	}
 	want := []*task.Task{b, a, c}
 	for i, w := range want {
 		got, ok := src.Next()
