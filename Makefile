@@ -178,7 +178,7 @@ lint:
 # Quick throughput/allocation smoke: one full single-fleet trial each of
 # PAM, PAMF, MOC and MM (plus PAM with telemetry and under churn) and the
 # sharded cluster trials; one PAM mapping event (all-deferred,
-# near-threshold and mixed), one MM mapping event (two free slots per
+# near-threshold, mixed and clock-moved), one MM mapping event (two free slots per
 # machine, one open machine, every machine full) and one MOC mapping
 # event (two-free and one-free); one walk of a full machine queue (tail
 # rebuild and pruner pass), one dispatch decision per routing policy, the

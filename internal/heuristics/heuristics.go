@@ -150,7 +150,11 @@ func AllNames() []string { return []string{"PAM", "PAMF", "MOC", "MM", "MSD", "M
 // an event: it builds no tail, so its memo and stamp stay as they were.
 // That is sound because a full machine regains a slot only through a
 // change that bumps its version (a finish, a removal, a recovery), so its
-// next tailFor misses and advances the stamp.
+// next tailFor misses and advances the stamp. A stale machine that the
+// stale rule rules out (staleRuleOn) builds no tail either: it stays in
+// the event's open list, but with the empty tail's bound, which every
+// batch task's defer floor lies above, so phase one skips it for every
+// task without an evaluation, and its memo and stamp stay as they were.
 type EvalCache struct {
 	open   []int              // this event's machines with a free slot, in index order
 	tails  []*pmf.PMF         // per-machine queue-tail free-time PMFs for this event
@@ -159,11 +163,20 @@ type EvalCache struct {
 	// stamps[i] counts actual changes of machine i's tail distribution. A
 	// cached evaluation is valid while its stamp matches: commits bump the
 	// committed machine's stamp (one column), and between events the stamp
-	// moves only when the tail memo below misses — so evaluations survive
-	// whole stretches of mapping events during which a machine's queue and
-	// conditioned head distribution are unchanged.
+	// moves only when the tail memo below is rebuilt or carried across a
+	// start — so evaluations survive whole stretches of mapping events
+	// during which a machine's queue and conditioned head distribution are
+	// unchanged. A machine the stale rule rules out keeps its stamp: it is
+	// evaluated again only after a rebuild, which advances it.
 	stamps []uint64
 	memo   []tailMemo
+
+	// probe is this event's stale-rule sample of the batch (buildProbe),
+	// built when the first stale machine is tested; probed says it is.
+	// repOf is its per-type index scratch, -1 where a type has no entry.
+	probe  []probeTask
+	probed bool
+	repOf  []int
 
 	evals map[int]*taskEval
 	free  []*taskEval // recycled taskEval records
@@ -217,12 +230,30 @@ func (c *EvalCache) keepResult(out *Result) {
 // chain head collapses onto an impulse at the clock (idle head, overdue
 // task). While both match, recomputing the chain would reproduce the
 // stored tail bit for bit, so it is skipped and the stamp stays put.
+//
+// Two queue changes keep the memo exact: a commit that leaves its machine
+// open extends the tail by one chain step and writes it through at the new
+// version (probState.commit), and StartNext at an idle-head memo's build
+// tick re-keys it to the started head (carriesStart). A memo whose key the
+// clock has passed at the same version is stale; the stale rule tests its
+// bound, shifted by slack, before anything is rebuilt (staleRuleOn). A
+// machine the rule rules out builds no tail this event.
 type tailMemo struct {
 	valid   bool
 	hasExec bool
 	ver     uint64
 	key     int64
-	tail    pmf.PMF // persistent deep copy (storage reused via CopyFrom)
+	// slack bounds how far the compactions of the chain that built tail
+	// moved any unit of mass (chainSlack); kept only under the stale rule.
+	slack int64
+	tail  pmf.PMF          // persistent deep copy (storage reused via CopyFrom)
+	bound pmf.SuccessBound // summarises tail
+}
+
+// probeTask is one batch task the stale rule tests, with its defer floor.
+type probeTask struct {
+	t     *task.Task
+	floor float64
 }
 
 // NewEvalCache returns an empty cache, ready to be shared across the
@@ -414,7 +445,7 @@ type fastEval struct {
 	expFree float64
 }
 
-func newProbState(ctx *Context) *probState {
+func newProbState(ctx *Context, batch []*task.Task) *probState {
 	c := ctx.Cache
 	if c == nil {
 		c = NewEvalCache()
@@ -436,19 +467,22 @@ func newProbState(ctx *Context) *probState {
 	s := &c.ps
 	s.cache, s.tails, s.bounds, s.arena, s.naive = c, c.tails, c.bounds, ctx.Arena, ctx.NaiveEval
 	s.open = c.openMachines(ctx.Machines)
+	c.probed = false
 	for _, i := range s.open {
-		s.tails[i] = c.tailFor(ctx, i, ctx.Machines[i])
-		s.bounds[i].Set(s.tails[i])
+		s.tails[i] = c.tailFor(ctx, i, ctx.Machines[i], batch)
 	}
 	return s
 }
 
-// tailFor returns machine m's queue-tail PMF for this event, reusing the
-// cross-event memo when the queue version and conditioning key both match
-// (in which case the stamp — and thus every cached evaluation against this
-// machine — stays valid). On a miss the chain is recomputed in the arena,
+// tailFor returns machine m's queue-tail PMF for this event and sets its
+// bound, reusing the cross-event memo when the queue version and
+// conditioning key both match (in which case the stamp — and thus every
+// cached evaluation against this machine — stays valid). A memo carried
+// across a start is re-keyed first, and a stale one is tested by the stale
+// rule, which returns nil with the empty tail's bound when no batch task
+// can reach its floor on m. Otherwise the chain is recomputed in the arena,
 // snapshotted into the memo, and the stamp advances.
-func (c *EvalCache) tailFor(ctx *Context, i int, m *machine.Machine) *pmf.PMF {
+func (c *EvalCache) tailFor(ctx *Context, i int, m *machine.Machine, batch []*task.Task) *pmf.PMF {
 	ex, exec, origin := m.Head(ctx.PET)
 	if ex == nil && len(m.Pending()) == 0 {
 		// Empty machine: the tail is an impulse at the clock. Memoizing is
@@ -456,7 +490,9 @@ func (c *EvalCache) tailFor(ctx *Context, i int, m *machine.Machine) *pmf.PMF {
 		// O(1) profile lookups anyway.
 		c.memo[i].valid = false
 		c.stamps[i]++
-		return ctx.Arena.Impulse(ctx.Now)
+		t := ctx.Arena.Impulse(ctx.Now)
+		c.bounds[i].Set(t)
+		return t
 	}
 	// An idle head with pending work, or an overdue one (its conditioned
 	// PMF is Impulse(now)), starts the chain at the clock.
@@ -470,14 +506,110 @@ func (c *EvalCache) tailFor(ctx *Context, i int, m *machine.Machine) *pmf.PMF {
 		}
 	}
 	e := &c.memo[i]
-	if !ctx.NaiveEval && e.valid && e.ver == m.Version() && e.key == key && e.hasExec == hasExec {
-		return &e.tail
+	stale := staleRuleOn(ctx)
+	if !ctx.NaiveEval && e.valid {
+		if hasExec && !e.hasExec && carriesStart(e, m, ex, exec, origin) {
+			c.stamps[i]++ // a rebuild would have advanced it too
+		}
+		if e.ver == m.Version() && e.hasExec == hasExec {
+			if e.key == key {
+				c.bounds[i] = e.bound
+				return &e.tail
+			}
+			if stale && hasExec && e.key < key && c.staleRulesOut(ctx, i, m, batch) {
+				c.bounds[i] = pmf.SuccessBound{}
+				return nil
+			}
+		}
 	}
 	t := m.TailPMF(ctx.Arena, ctx.Now, ctx.PET, ctx.Mode, ctx.MaxImpulses, nil)
 	e.tail.CopyFrom(t)
+	e.bound.Set(t)
 	e.valid, e.ver, e.key, e.hasExec = true, m.Version(), key, hasExec
+	if stale {
+		e.slack = chainSlack(ctx, m, ex, exec, origin)
+	}
+	c.bounds[i] = e.bound
 	c.stamps[i]++
 	return &e.tail
+}
+
+// carriesStart re-keys e, a memo built with an idle head, to the head m
+// has since started, and reports whether it did. The memo's first chain
+// step is ChainStep(Impulse(t), exec, δ) at its build tick t; the started
+// head's step is Compact(EvictTail(exec shifted to its origin, δ)), or
+// Compact(exec shifted) outside Evict, and the two agree bit for bit when
+// StartNext at t was the only mutation since the build (ver+1), the head
+// banked no progress (its origin is its start, so the memo priced it from
+// the same unconditioned entry) and its deadline is after t (a start at
+// or past the deadline carries the impulse through instead). The memo is
+// then exactly the tail a rebuild would give at any tick the head is
+// conditioned no further than at t, whose key is the head's first impulse:
+// the clock has not reached the head's first possible completion, and
+// ShiftConditioned returns the unconditioned clone. Its chain slack is
+// unchanged: the idle step's span is the head's.
+func carriesStart(e *tailMemo, m *machine.Machine, ex *task.Task, exec *pmf.PMF, origin int64) bool {
+	built := -e.key // an idle-head memo's key is minus its build tick
+	if m.Version() != e.ver+1 || ex.Start != built || origin != ex.Start || ex.Deadline <= built {
+		return false
+	}
+	key, ok := exec.FirstImpulseAt(built - origin)
+	if !ok {
+		return false
+	}
+	e.ver, e.key, e.hasExec = m.Version(), key, true
+	return true
+}
+
+// staleRulesOut reports whether no batch task can reach its defer floor on
+// machine i, judged from its stale memo's bound with every deadline pushed
+// back by W = S_memo + S_now (staleRuleOn has the argument). Each type's
+// latest-deadline unrestored task stands for every unrestored task of its
+// type: they share an entry and a floor, and the bound is monotone in the
+// deadline, so the representative's bound is the largest. Restored tasks
+// are tested one by one, since each is priced from its own conditioned
+// entry.
+func (c *EvalCache) staleRulesOut(ctx *Context, i int, m *machine.Machine, batch []*task.Task) bool {
+	e := &c.memo[i]
+	ex, exec, origin := m.Head(ctx.PET)
+	w := e.slack + chainSlack(ctx, m, ex, exec, origin)
+	if !c.probed {
+		c.buildProbe(ctx, batch)
+	}
+	for _, p := range c.probe {
+		if !e.bound.Below(ctx.entry(p.t, i).Prof, p.t.Deadline+w, p.floor) {
+			return false
+		}
+	}
+	return true
+}
+
+// buildProbe fills c.probe for this event: each task type's
+// latest-deadline unrestored batch task, then every restored one, each
+// with its defer floor.
+func (c *EvalCache) buildProbe(ctx *Context, batch []*task.Task) {
+	c.probe, c.probed = c.probe[:0], true
+	for _, t := range batch {
+		if t.Consumed > 0 {
+			c.probe = append(c.probe, probeTask{t, deferFloor(ctx, t)})
+			continue
+		}
+		for int(t.Type) >= len(c.repOf) {
+			c.repOf = append(c.repOf, -1)
+		}
+		switch k := c.repOf[t.Type]; {
+		case k < 0:
+			c.repOf[t.Type] = len(c.probe)
+			c.probe = append(c.probe, probeTask{t, deferFloor(ctx, t)})
+		case t.Deadline > c.probe[k].t.Deadline:
+			c.probe[k].t = t
+		}
+	}
+	for _, p := range c.probe {
+		if p.t.Consumed <= 0 {
+			c.repOf[p.t.Type] = -1
+		}
+	}
 }
 
 // compute is the uncached phase-one evaluation of task t on machine mi.
@@ -547,16 +679,35 @@ func (s *probState) bestByRobustness(ctx *Context, t *task.Task, floor float64) 
 // took its last slot. Enqueue bumps the machine's queue version, which is
 // what invalidates cached evaluations against this machine — no explicit
 // invalidation pass is needed.
+//
+// When the machine stays open and its tail is the memo's, the extended
+// tail is written through into the memo at the new version: it is exactly
+// what a rebuild at the same key would give (TailPMF chains the pending
+// tasks in order with the same step), so the next event finds the memo
+// current instead of a version behind.
 func (s *probState) commit(ctx *Context, t *task.Task, mi int) {
-	if err := ctx.Machines[mi].Enqueue(t); err != nil {
+	m := ctx.Machines[mi]
+	if err := m.Enqueue(t); err != nil {
 		panic(fmt.Sprintf("heuristics: commit to full machine %d: %v", mi, err))
 	}
 	s.cache.stamps[mi]++ // one column of cached evaluations dies, no more
 	s.cache.Forget(t.ID)
-	if !closeIfFull(ctx, &s.open, mi) {
-		s.tails[mi] = s.arena.ChainStep(s.tails[mi], ctx.entry(t, mi).PMF, t.Deadline, ctx.Mode, ctx.MaxImpulses)
-		s.bounds[mi].Set(s.tails[mi])
+	if closeIfFull(ctx, &s.open, mi) {
+		return
 	}
+	prev, exec := s.tails[mi], ctx.entry(t, mi).PMF
+	next := s.arena.ChainStep(prev, exec, t.Deadline, ctx.Mode, ctx.MaxImpulses)
+	s.bounds[mi].Set(next)
+	if e := &s.cache.memo[mi]; prev == &e.tail {
+		if staleRuleOn(ctx) {
+			lo, hi := evictSpan(prev.Start(), prev.End(), exec, t.Deadline)
+			e.slack += groupSlack(hi-lo+1, ctx.MaxImpulses)
+		}
+		e.tail.CopyFrom(next)
+		e.ver, e.bound = m.Version(), s.bounds[mi]
+		next = &e.tail
+	}
+	s.tails[mi] = next
 }
 
 // removeTask deletes the element at index i from ts, order-preserving.

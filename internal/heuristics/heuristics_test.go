@@ -325,9 +325,9 @@ func TestPAMFUsesSufferage(t *testing.T) {
 func TestProbStateCacheConsistency(t *testing.T) {
 	matrix := testPET(t)
 	ctx := freshContext(t, matrix, 6)
-	st := newProbState(ctx)
 	a := mkTask(0, 0, 0, 500)
 	b := mkTask(1, 0, 0, 500)
+	st := newProbState(ctx, []*task.Task{a, b})
 
 	evB1 := st.evaluate(ctx, b, 0)
 	st.commit(ctx, a, 0) // machine 0's tail changed
@@ -419,8 +419,8 @@ func TestRobustnessTieBreak(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st := newProbState(ctx)
 	tk := mkTask(0, 0, 0, 100000)
+	st := newProbState(ctx, []*task.Task{tk})
 	mi, ev, ok := st.bestByRobustness(ctx, tk, math.Inf(-1))
 	if !ok {
 		t.Fatal("no machine")
@@ -435,8 +435,9 @@ func TestRobustnessTieBreak(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st2 := newProbState(ctx)
-	mi2, _, _ := st2.bestByRobustness(ctx, mkTask(1, 0, 0, 100000), math.Inf(-1))
+	tk2 := mkTask(1, 0, 0, 100000)
+	st2 := newProbState(ctx, []*task.Task{tk2})
+	mi2, _, _ := st2.bestByRobustness(ctx, tk2, math.Inf(-1))
 	if mi == mi2 {
 		t.Errorf("tie-break ignored queue depth: picked machine %d both times", mi)
 	}

@@ -22,6 +22,10 @@ type mapEvent struct {
 	ctx    *Context
 	queued [][]*task.Task // per machine, head first
 	batch  []*task.Task
+	start  []int64 // per machine, the tick its head started
+	// memoAt, when set, is per machine the tick reset builds its memo at,
+	// before the clock, instead of the clock itself (clockMoved).
+	memoAt []int64
 }
 
 const (
@@ -70,6 +74,7 @@ func newMapEvent(matrix *pet.Matrix, lo, hi float64, shape queueShape) *mapEvent
 			id++
 		}
 		ev.queued = append(ev.queued, q)
+		ev.start = append(ev.start, mapEventNow-20)
 	}
 	for range mapEventBatch {
 		slack := int64(grand * rng.UniformRange(lo, hi))
@@ -81,11 +86,11 @@ func newMapEvent(matrix *pet.Matrix, lo, hi float64, shape queueShape) *mapEvent
 }
 
 // reset restores the event's state: every machine re-queues its tasks, the
-// head started a little before the clock, and the batch is unmapped again.
+// head started before the clock, and the batch is unmapped again.
 // Machine.Reset bumps each queue version, so every cached evaluation of the
 // previous run is stale; the open machines' tails are rebuilt into the
 // cross-event memo here, leaving the timed Map with warm tails and cold
-// evaluations.
+// evaluations, or with stale memos after clockMoved.
 func (ev *mapEvent) reset() {
 	for mi, m := range ev.ctx.Machines {
 		m.Reset()
@@ -94,13 +99,42 @@ func (ev *mapEvent) reset() {
 				panic(err)
 			}
 		}
-		m.StartNext(mapEventNow - 20)
+		m.StartNext(ev.start[mi])
 	}
 	for _, t := range ev.batch {
 		t.State, t.Machine, t.Defers = task.StatePending, -1, 0
 	}
 	ev.ctx.Arena.Reset()
-	newProbState(ev.ctx)
+	newProbState(ev.ctx, ev.batch)
+	ev.restale()
+}
+
+// clockMoved starts each machine's head so that the clock sits one tick
+// past the middle impulse of its execution PMF, and has reset build its
+// memo at that impulse: every memo is then one key behind at the same
+// version, which is how most pam-34k tail lookups that miss find it.
+func (ev *mapEvent) clockMoved() *mapEvent {
+	ev.memoAt = make([]int64, len(ev.ctx.Machines))
+	for mi, q := range ev.queued {
+		ticks, _ := ev.ctx.PET.Entry(q[0].Type, mi, 1, 0).PMF.Impulses()
+		mid := ticks[len(ticks)/2]
+		ev.start[mi] = mapEventNow - mid - 1
+		ev.memoAt[mi] = ev.start[mi] + mid
+	}
+	ev.reset()
+	return ev
+}
+
+// restale rebuilds every memo at its memoAt tick (nothing without
+// clockMoved), leaving the clock where it was.
+func (ev *mapEvent) restale() {
+	c, now := ev.ctx.Cache, ev.ctx.Now
+	for mi, at := range ev.memoAt {
+		c.memo[mi].valid = false
+		ev.ctx.Now = at
+		c.tailFor(ev.ctx, mi, ev.ctx.Machines[mi], ev.batch)
+	}
+	ev.ctx.Now = now
 	ev.ctx.Arena.Reset()
 }
 
@@ -154,7 +188,9 @@ func (ev *mapEvent) runScalar(b *testing.B, h Heuristic, assigned int) {
 // near-threshold gives the same batch more slack, so most pairs clear the
 // first-tick bound yet fall short of the defer threshold: it assigns 2
 // tasks, defers 36, and exercises the four-group bound. mixed maps some of
-// the batch and defers the rest.
+// the batch and defers the rest. clock-moved is all-deferred with every
+// memo one key behind at the same version (clockMoved): the stale rule
+// tests each memo's shifted bound instead of rebuilding its tail.
 func BenchmarkPAMMapEvent(b *testing.B) {
 	matrix := pet.MustBuild(pet.SPECLikeMeans(), pet.DefaultBuildConfig(), stats.NewRNG(0x5EC))
 	b.Run("all-deferred", func(b *testing.B) {
@@ -172,24 +208,66 @@ func BenchmarkPAMMapEvent(b *testing.B) {
 			return len(r.Assigned) > 0 && len(r.Deferred) > 0
 		})
 	})
+	b.Run("clock-moved", func(b *testing.B) {
+		newMapEvent(matrix, 0.5, 3, twoFree).clockMoved().run(b, PAM{}, func(r Result) bool {
+			return len(r.Assigned) == 0 && len(r.Deferred) == mapEventBatch
+		})
+	})
 }
 
 // TestPAMMapEventAllocFree: once the cache and arena have grown, an
 // all-deferred PAM mapping event — a tail summary per machine and a bound
-// test per pair, which here rules out every pair — allocates nothing. The
-// event leaves every queue as it found it, so it repeats without reset,
-// whose re-queueing allocates.
+// test per pair, which here rules out every pair — allocates nothing, and
+// neither does the clock-moved one, whose stale rule tests every memo's
+// shifted bound first. The events leave every queue as they found it, so
+// they repeat without reset, whose re-queueing allocates; restale puts
+// the clock-moved memos a key behind again.
 func TestPAMMapEventAllocFree(t *testing.T) {
 	matrix := pet.MustBuild(pet.SPECLikeMeans(), pet.DefaultBuildConfig(), stats.NewRNG(0x5EC))
-	ev := newMapEvent(matrix, 0.5, 3, twoFree)
-	PAM{}.Map(ev.ctx, ev.batch)
-	if n := testing.AllocsPerRun(50, func() {
-		ev.ctx.Arena.Reset()
-		if r := (PAM{}).Map(ev.ctx, ev.batch); len(r.Assigned) != 0 || len(r.Deferred) != mapEventBatch {
-			t.Fatalf("event assigned %d and deferred %d, want 0 and %d", len(r.Assigned), len(r.Deferred), mapEventBatch)
+	for name, ev := range map[string]*mapEvent{
+		"all-deferred": newMapEvent(matrix, 0.5, 3, twoFree),
+		"clock-moved":  newMapEvent(matrix, 0.5, 3, twoFree).clockMoved(),
+	} {
+		PAM{}.Map(ev.ctx, ev.batch)
+		if n := testing.AllocsPerRun(50, func() {
+			ev.restale()
+			if r := (PAM{}).Map(ev.ctx, ev.batch); len(r.Assigned) != 0 || len(r.Deferred) != mapEventBatch {
+				t.Fatalf("%s: event assigned %d and deferred %d, want 0 and %d", name, len(r.Assigned), len(r.Deferred), mapEventBatch)
+			}
+		}); n != 0 {
+			t.Errorf("%s PAM mapping event allocates %.1f objects, want 0", name, n)
 		}
-	}); n != 0 {
-		t.Errorf("all-deferred PAM mapping event allocates %.1f objects, want 0", n)
+	}
+}
+
+// TestClockMovedEventSkipsRebuilds: the clock-moved event's premise holds
+// (every memo is one key behind at the current version) and the stale rule
+// rules out most machines, so the event rebuilds few tails.
+func TestClockMovedEventSkipsRebuilds(t *testing.T) {
+	matrix := pet.MustBuild(pet.SPECLikeMeans(), pet.DefaultBuildConfig(), stats.NewRNG(0x5EC))
+	ev := newMapEvent(matrix, 0.5, 3, twoFree).clockMoved()
+	c := ev.ctx.Cache
+	for mi, m := range ev.ctx.Machines {
+		_, exec, origin := m.Head(ev.ctx.PET)
+		key, _ := exec.FirstImpulseAt(ev.ctx.Now - origin)
+		if e := &c.memo[mi]; !e.valid || e.ver != m.Version() || e.key >= key {
+			t.Fatalf("machine %d: memo key %d at version %d, current key %d at %d; want one key behind", mi, e.key, e.ver, key, m.Version())
+		}
+	}
+	stamps := append([]uint64(nil), c.stamps...)
+	st := newProbState(ev.ctx, ev.batch)
+	ruledOut := 0
+	for mi := range ev.ctx.Machines {
+		if st.tails[mi] == nil {
+			ruledOut++
+			if c.stamps[mi] != stamps[mi] {
+				t.Errorf("machine %d: ruled out, but its stamp moved", mi)
+			}
+		}
+	}
+	t.Logf("the stale rule ruled out %d of %d machines", ruledOut, len(ev.ctx.Machines))
+	if ruledOut < len(ev.ctx.Machines)/2 {
+		t.Errorf("the stale rule ruled out %d of %d machines, want at least half", ruledOut, len(ev.ctx.Machines))
 	}
 }
 

@@ -46,7 +46,7 @@ func (h MOC) Map(ctx *Context, batch []*task.Task) Result {
 	if len(batch) == 0 {
 		return Result{}
 	}
-	st := newProbState(ctx)
+	st := newProbState(ctx, batch)
 	if len(st.open) == 0 {
 		return Result{}
 	}

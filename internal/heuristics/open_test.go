@@ -287,7 +287,7 @@ func TestReopenedMachineReevaluates(t *testing.T) {
 	}
 	m0.StartNext(0)
 	probe := mkTask(0, 0, 0, 40)
-	before := newProbState(ctx).evaluate(ctx, probe, 0)
+	before := newProbState(ctx, []*task.Task{probe}).evaluate(ctx, probe, 0)
 
 	// Machine 0 fills and sits out an event that maps onto machine 1.
 	if err := m0.Enqueue(mkTask(101, 0, 0, 1000)); err != nil {
@@ -307,7 +307,7 @@ func TestReopenedMachineReevaluates(t *testing.T) {
 	m0.FinishExecuting(15)
 	m0.StartNext(15)
 	misses := ctx.Cache.Misses()
-	st := newProbState(ctx)
+	st := newProbState(ctx, []*task.Task{probe})
 	after := st.evaluate(ctx, probe, 0)
 	if ctx.Cache.Misses() != misses+1 {
 		t.Fatal("the reopened machine's evaluation was served from the cache")

@@ -3,6 +3,8 @@ package heuristics
 import (
 	"math"
 
+	"taskprune/internal/machine"
+	"taskprune/internal/pmf"
 	"taskprune/internal/task"
 )
 
@@ -90,6 +92,84 @@ func skipFloor(ctx *Context, threshold float64) float64 {
 	return threshold - (float64(len(ctx.Machines)+2)*tieEps + 1e-12)
 }
 
+// staleRuleOn reports whether the stale rule applies: Evict mode, a
+// pruner (PAM, PAMF) and not NaiveEval. A machine whose memo has the
+// current queue version and an executing head, but a key strictly older
+// than the current one (the clock passed the head's next impulse), is not
+// rebuilt first. Its memo's bound is tested instead, with every deadline
+// pushed back by W = S_memo + S_now (chainSlack), for each task type's
+// latest-deadline unrestored batch task and each restored one
+// (EvalCache.staleRulesOut); the machine is rebuilt only when one of them
+// is not below its defer floor, and otherwise builds no tail this event.
+//
+// The rule is sound. One Evict chain step maps a free tick τ to
+// τ ≥ δ ? τ : min(τ+x, δ) for the task's execution time x and deadline δ:
+// monotone and 1-Lipschitz in τ. Same version means the same head, origin
+// and queue, and the clock only moves forward, so the head conditioned at
+// the current key is stochastically later than at the memo's, and so is
+// its EvictTail; coupling both chains on the same execution times, the
+// uncompacted current chain ends no earlier than the uncompacted memo
+// chain. Each Compact moves every unit of mass by less than its group
+// width ⌈n/k⌉, n being the dense span of its input, and the map passes
+// earlier moves on undiminished, so a compacted chain ends within S =
+// Σ(⌈n/k⌉−1) of its uncompacted one. Hence tail_now ≥st tail_memo − W.
+// Success Σ_{s<δ} tail(s)·CDF_exec(δ−s) is an expectation of a
+// nonincreasing function of the start, so success on tail_now is at most
+// success on tail_memo with the deadline at δ+W, which the memo's
+// SuccessBound bounds. A ruled-out machine's success therefore lies below
+// every batch task's floor, and skipFloor's argument, which needs nothing
+// else of a skipped machine, keeps every decision unchanged. MOC keeps
+// rebuilding: a PendingDrop step jumps from δ−1+x down to δ and is not
+// monotone.
+func staleRuleOn(ctx *Context) bool {
+	return ctx.Mode == pmf.Evict && ctx.Pruner != nil && !ctx.NaiveEval
+}
+
+// chainSlack is S for m's tail chain conditioned at the clock, bounded by
+// interval arithmetic without building the chain: the head's conditioned
+// support (from the later of the clock and its first tick to its last,
+// collapsed onto its deadline by EvictTail), then one evictSpan per
+// pending task, each adding its compaction's groupSlack.
+func chainSlack(ctx *Context, m *machine.Machine, ex *task.Task, exec *pmf.PMF, origin int64) int64 {
+	lo, hi := ctx.Now, ctx.Now
+	var s int64
+	if ex != nil {
+		lo = max(ctx.Now, origin+exec.Start())
+		hi = max(lo, origin+exec.End())
+		lo, hi = min(lo, ex.Deadline), min(hi, ex.Deadline)
+		s = groupSlack(hi-lo+1, ctx.MaxImpulses)
+	}
+	for _, t := range m.Pending() {
+		lo, hi = evictSpan(lo, hi, ctx.PET.Entry(t.Type, m.ID, m.Speed(), t.Consumed).PMF, t.Deadline)
+		s += groupSlack(hi-lo+1, ctx.MaxImpulses)
+	}
+	return s
+}
+
+// evictSpan bounds the support of one Evict chain step from a start in
+// [lo, hi]: a start before the deadline completes at min(s+x, deadline)
+// for x in exec's support, and a later one carries through.
+func evictSpan(lo, hi int64, exec *pmf.PMF, deadline int64) (int64, int64) {
+	if lo >= deadline {
+		return lo, hi
+	}
+	nlo := min(lo+exec.Start(), deadline)
+	if hi >= deadline {
+		return nlo, hi
+	}
+	return nlo, min(hi+exec.End(), deadline)
+}
+
+// groupSlack is the most a Compact to k impulses moves any unit of mass of
+// a PMF whose dense support spans at most n ticks: its group width ⌈n/k⌉
+// less one, and nothing when the PMF already fits.
+func groupSlack(n int64, k int) int64 {
+	if k <= 0 || n <= int64(k) {
+		return 0
+	}
+	return (n+int64(k)-1)/int64(k) - 1
+}
+
 // deferFloor is skipFloor at task t's defer threshold. Without a pruner
 // nothing is deferred, so phase one scans every machine.
 func deferFloor(ctx *Context, t *task.Task) float64 {
@@ -104,7 +184,7 @@ func pruningMap(ctx *Context, batch []*task.Task) Result {
 	if len(batch) == 0 {
 		return Result{}
 	}
-	st := newProbState(ctx)
+	st := newProbState(ctx, batch)
 	if len(st.open) == 0 {
 		return Result{}
 	}

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"taskprune/internal/pmf"
 	"taskprune/internal/scenario"
 	"taskprune/internal/task"
 	"taskprune/internal/trace"
@@ -129,6 +130,65 @@ func TestCheckpointRestoreOnFailure(t *testing.T) {
 	}
 	if !sawRestore {
 		t.Fatal("no restore event in the trace")
+	}
+}
+
+// TestRestoredTaskOnDegradedMachine: PAM prices a checkpoint-restored task
+// on a degraded machine from the machine's scaled entry conditioned on the
+// scaled credit. A type-0 task (mean 10 on m0, 40 on m1) runs on m0 with a
+// checkpoint every 4 ticks; m1 slows to half speed at tick 1, and m0 fails
+// at 18, so the task is restored with 16 ticks banked while m1 is the only
+// machine up. Its remaining work there is a half-speed run with 32 wall
+// ticks done, success about 0.42 by its deadline, and PAM defers it; the
+// nominal entry conditioned on 32 ticks (what a lookup that skips the
+// scaling would price) clears the 0.9 threshold and would map it onto m1.
+// When m0 recovers at 25 the task maps there and completes.
+func TestRestoredTaskOnDegradedMachine(t *testing.T) {
+	matrix := simPET(t)
+	const deadline = 63
+	cfg := baseConfig(t, "PAM", matrix)
+	cfg.Scenario = scenario.New("restore-on-degraded").
+		DegradeAt(1, 1, 2).
+		FailAt(18, 0, scenario.Requeue).
+		RecoverAt(25, 0)
+	cfg.Checkpoint = periodic(4, 0)
+	rec := trace.NewRecorder()
+	cfg.Trace = rec
+	sim, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	threshold := cfg.Pruner.DeferThreshold
+	credit := pmf.ScaleDur(16, 2)
+	scaled := pmf.NewProfile(pmf.ScaleTicks(matrix.PMF(0, 1), 2).RemainingAfter(credit))
+	nominal := pmf.NewProfile(matrix.PMF(0, 1).RemainingAfter(credit))
+	if s := scaled.CDF(deadline - 18); s >= threshold {
+		t.Fatalf("premise: the restored task's success on the degraded m1 is %v, want below %v", s, threshold)
+	}
+	if s := nominal.CDF(deadline - 18); s < threshold {
+		t.Fatalf("premise: the unscaled conditioned entry gives %v, want at least %v", s, threshold)
+	}
+
+	tk := fixedTask(0, 0, 0, deadline, 20)
+	if _, err := sim.Run([]*task.Task{tk}); err != nil {
+		t.Fatal(err)
+	}
+	var restored, deferred bool
+	for _, e := range rec.Events() {
+		switch {
+		case e.Kind == trace.TaskRestored && e.Tick == 18:
+			restored = e.Value == 16
+		case e.Kind == trace.TaskDeferred && e.Tick == 18:
+			deferred = true
+		case e.Kind == trace.TaskMapped && e.Machine == 1:
+			t.Errorf("t=%d: the restored task was mapped onto the degraded m1", e.Tick)
+		}
+	}
+	if !restored || !deferred {
+		t.Errorf("at t=18: restored with 16 banked %v, deferred %v; want both", restored, deferred)
+	}
+	if tk.State != task.StateCompleted || tk.Machine != 0 || tk.Finish != 29 {
+		t.Errorf("task %v on m%d finishing at %d, want completed on m0 at 29 (mapped at 25, 4 ticks left)", tk.State, tk.Machine, tk.Finish)
 	}
 }
 

@@ -77,6 +77,12 @@ func assertNaiveEquivalent(t *testing.T, cfg Config, matrix *pet.Matrix, seeds i
 // workload and seed must yield a byte-identical decision trace and
 // identical robustness statistics with them enabled and with NaiveEval
 // recomputing everything, under all three dropping scenarios.
+//
+// The evict/k=2 and evict/k=4 cases compact every tail to two and four
+// impulses. There a four-group success bound is exact, and Compact moves
+// mass by up to half a tail's span, so a stale-rule slack too small to
+// cover those moves would let the cached run skip a machine the naive run
+// maps onto.
 func TestCachedEvalEquivalence(t *testing.T) {
 	matrix := simPET(t)
 	for _, name := range []string{"PAM", "PAMF"} {
@@ -86,6 +92,14 @@ func TestCachedEvalEquivalence(t *testing.T) {
 				cfg.Mode = mode
 				cfg.EvictAtDeadline = mode == pmf.Evict
 				assertNaiveEquivalent(t, cfg, matrix, 3)
+			})
+		}
+		for _, k := range []int{2, 4} {
+			t.Run(fmt.Sprintf("%s/evict/k=%d", name, k), func(t *testing.T) {
+				spec := pet.MustBuild(pet.SPECLikeMeans(), pet.DefaultBuildConfig(), stats.NewRNG(0x5EC))
+				cfg := MustConfigFor(name, spec)
+				cfg.MaxImpulses = k
+				assertNaiveEquivalent(t, cfg, spec, 3)
 			})
 		}
 	}
